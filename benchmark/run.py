@@ -2,20 +2,19 @@
 
 Usage (from the root of a checkout)::
 
-    python3 benchmark/run.py --workload standard --seed 1 --seconds 24 --trace 0
+    python3 benchmark/run.py --workload standard --seed 1 --seconds 30 --trace 0
 
 One run builds the workload's input files from ``--seed``, runs the real
 CLI once as an untimed warm-up whose output is checked row by row against
 an independent reference (``check.py``), and then samples fresh CLI
 processes until ``--seconds`` have passed.  Every sample must write the
-warm-up's bytes.  Between CLI samples, about one per second of CLI time,
-it times a set-up-only interpreter (import ``eventstudy.cli`` and load the
-config) and the machine's speed probe (``calibrate.py``), so all three see
+warm-up's bytes.  Before each CLI sample it times one set-up-only
+interpreter (import ``eventstudy.cli`` and load the config), so both see
 the same machine conditions.
 
-``--trace 0`` reports the end-to-end metrics: medians of wall time and
-set-up time, scaled to nominal machine speed by the probe, the median
-peak memory, and the throughputs derived from the wall time.
+``--trace 0`` reports the end-to-end metrics: the medians of wall time,
+set-up time and peak memory, and the throughputs derived from the wall
+time.
 ``--trace 1`` alternates untraced and traced CLI processes and reports the
 per-layer metrics from the traced ones (``traced_cli.py``), plus the
 parallel speed-up of the generator (``speedup.py``).
@@ -64,10 +63,6 @@ MIN_TRACED_PAIRS = 2
 SPEEDUP_REPEATS = 2
 
 SETUP_SNIPPET = "import sys, eventstudy.cli as c; c.load_run_config(sys.argv[1])"
-
-#: Wall time of ``calibrate.py`` at nominal machine speed.  Time metrics are
-#: reported at that speed: raw medians times PROBE_NOMINAL_S / median probe.
-PROBE_NOMINAL_S = 0.40
 
 END_TO_END = (
     ("wall_s", "s"),
@@ -171,7 +166,6 @@ class Run:
         self.launch = Launcher(root, workload.directory)
         self.cli = [sys.executable, "-m", "eventstudy.cli", *workload.cli_args]
         self.setup = [sys.executable, "-c", SETUP_SNIPPET, str(workload.config)]
-        self.calibrate = [sys.executable, str(HERE / "calibrate.py")]
         self.expected: bytes | None = None
         self.attempted = 0
         self.failed = 0
@@ -207,32 +201,25 @@ class Run:
     def untraced(self) -> tuple[dict, dict]:
         self._invoke(self.cli)  # warm-up, checked
         self.launch(self.setup)
-        self.launch(self.calibrate)
-        walls, rss, setups, probes = [], [], [], []
+        walls, rss, setups = [], [], []
         started = time.perf_counter()
         per_iteration = 0.0
         while len(walls) < MIN_SAMPLES or self._time_left(started, per_iteration):
-            # About one set-up and one probe sample per second of CLI time, at least one.
-            n_side = max(1, round(median(walls))) if walls else 1
-            for _ in range(n_side):
-                setups.append(self.launch(self.setup).wall_s)
-                probes.append(self.launch(self.calibrate).wall_s)
+            setups.append(self.launch(self.setup).wall_s)
             sample = self._invoke(self.cli)
             walls.append(sample.wall_s)
             rss.append(sample.peak_rss_mb)
-            per_iteration = median(walls) + n_side * (median(setups) + median(probes))
+            per_iteration = median(walls) + median(setups)
         log(f"{len(walls)} samples in {time.perf_counter() - started:.1f}s")
-        slowdown = median(probes) / PROBE_NOMINAL_S  # above 1 when slower than nominal
-        wall = median(walls) / slowdown
+        wall = median(walls)
         metrics = {
             "wall_s": wall,
             "scenarios_per_s": self.workload.scenarios_per_invocation / wall,
             "events_per_s": len(self.workload.events) / wall,
-            "setup_s": median(setups) / slowdown,
+            "setup_s": median(setups),
             "peak_rss_mb": median(rss),
         }
-        raw = {"wall_s": walls, "setup_s": setups, "probe_s": probes,
-               "peak_rss_mb": rss, "slowdown": slowdown}
+        raw = {"wall_s": walls, "setup_s": setups, "peak_rss_mb": rss}
         return metrics, raw
 
     def traced(self, seed: int) -> tuple[dict, dict]:

@@ -2,22 +2,22 @@
 
 Usage (from the root of a checkout)::
 
-    python3 benchmark/steadiness.py [--runs 5] [--seconds 24] [--workloads standard ...]
+    python3 benchmark/steadiness.py
 
-Each round runs every workload once in set A and once in set B, flipping
-which set goes first from one round to the next; every run gets its own
-seed.  For each end-to-end metric and workload the command prints the
-median and quartiles of all runs, their spread (interquartile range over
-median), the drift of set B's median from set A's in the metric's worse
-direction, and the metric's bound from ``BENCHMARK.json``.  A metric is
-steady when its spread (except ``setup_s``'s) and its drift stay within
-the bound; ``<1/3`` marks a spread below a third of it.  The exit code is
-1 when any run failed its output check or any metric was not steady.
+Each of ``ROUNDS`` rounds runs every workload of ``BENCHMARK.json`` for its
+``run_seconds``, once in set A and once in set B, flipping which set goes
+first from one round to the next; every run gets its own seed, counting
+up from ``FIRST_SEED``.  For each end-to-end metric and workload the
+command prints the median and quartiles of all runs, their spread
+(interquartile range over median), the drift of set B's median from set
+A's in the metric's worse direction, and the metric's bound.  A metric is
+steady when both its spread and its drift stay within the bound; ``<1/3``
+marks a spread below a third of it.  The exit code is 1 when any run
+failed its output check or any metric was not steady.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -27,6 +27,11 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+
+#: Seed of the first run; each later run takes the next one.
+FIRST_SEED = 9000
+#: Runs per set and workload: two sets give ten runs per workload.
+ROUNDS = 5
 
 
 def run_once(workload: str, seed: int, seconds: int) -> dict:
@@ -38,8 +43,6 @@ def run_once(workload: str, seed: int, seconds: int) -> dict:
     )
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {"correct": False, "metrics": {}}
-    if len(lines) > 1:
-        result["raw_wall_s"] = statistics.median(json.loads(lines[0])["record"]["raw"]["wall_s"])
     result["elapsed_s"] = time.perf_counter() - started
     result["exit_code"] = done.returncode
     return result
@@ -53,22 +56,16 @@ def worse_by(first: float, second: float, better: str) -> float:
 
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--runs", type=int, default=5, help="runs per set and workload")
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    parser.add_argument("--workloads", nargs="+",
-                        default=[w["name"] for w in spec["workloads"]])
-    parser.add_argument("--first-seed", type=int, default=1000)
-    args = parser.parse_args()
+    workloads = [w["name"] for w in spec["workloads"]]
 
     results: dict[tuple[str, str], list[dict]] = {}
-    seed = args.first_seed
+    seed = FIRST_SEED
     failures = 0
-    for round_index in range(args.runs):
+    for round_index in range(ROUNDS):
         sets = ("A", "B") if round_index % 2 == 0 else ("B", "A")
-        for workload in args.workloads:
+        for workload in workloads:
             for which in sets:
-                result = run_once(workload, seed, args.seconds)
+                result = run_once(workload, seed, spec["run_seconds"])
                 result["seed"] = seed
                 seed += 1
                 results.setdefault((workload, which), []).append(result)
@@ -83,7 +80,7 @@ def main() -> int:
     print(f"\n{'workload':9s} {'metric':16s} {'median':>12s} {'q1':>12s} {'q3':>12s} "
           f"{'spread':>7s} {'drift':>7s} {'bound':>6s}  verdict")
     unsteady = 0
-    for workload in args.workloads:
+    for workload in workloads:
         runs_a, runs_b = results[(workload, "A")], results[(workload, "B")]
         for metric in spec["end_to_end"]:
             name, bound = metric["name"], metric["bound"]
@@ -100,20 +97,12 @@ def main() -> int:
             spread = (q3 - q1) / median
             drift = worse_by(statistics.median(values(runs_a)),
                              statistics.median(values(runs_b)), metric["better"])
-            spread_ok = name == "setup_s" or spread <= bound
-            steady = spread_ok and drift <= bound
+            steady = spread <= bound and drift <= bound
             unsteady += not steady
             verdict = ("ok" if steady else "NOT STEADY") + (
                 "  <1/3" if spread < bound / 3 else "")
             print(f"{workload:9s} {name:16s} {median:12.6g} {q1:12.6g} {q3:12.6g} "
                   f"{spread:7.2%} {drift:+7.2%} {bound:6.0%}  {verdict}")
-        raw_a = [r["raw_wall_s"] for r in runs_a if "raw_wall_s" in r]
-        raw_b = [r["raw_wall_s"] for r in runs_b if "raw_wall_s" in r]
-        if len(raw_a) + len(raw_b) >= 4:
-            q1, median, q3 = statistics.quantiles(raw_a + raw_b, n=4)
-            drift = worse_by(statistics.median(raw_a), statistics.median(raw_b), "lower")
-            print(f"{workload:9s} {'(raw wall_s)':16s} {median:12.6g} {q1:12.6g} {q3:12.6g} "
-                  f"{(q3 - q1) / median:7.2%} {drift:+7.2%}      -  not normalised; no bound")
         elapsed = [r["elapsed_s"] for r in runs_a + runs_b]
         print(f"{workload:9s} run elapsed: median {statistics.median(elapsed):.1f}s,"
               f" max {max(elapsed):.1f}s")
