@@ -11,125 +11,15 @@ everything else is noise.
 
 from __future__ import annotations
 
-from .bootstrap import (
-    DEFAULT_N_SCENARIOS,
-    STANDARD_DRAWS,
-    Histogram,
-    ScenarioDistribution,
-    ScenarioSpec,
-    cumulative_abnormal_return,
-    derive_seed,
-    generate_distribution,
-    percentile_of,
-)
-from .config import RunConfig, load_run_config
-from .errors import (
-    AlignmentError,
-    ConfigError,
-    DataFormatError,
-    DegenerateModelError,
-    EventStudyError,
-    HistoryError,
-)
-from .inference import (
-    STANDARD_WINDOWS,
-    EventResult,
-    EventWindow,
-    Impact,
-    Provenance,
-    StudySettings,
-    actual_window_car,
-    additive_baseline,
-    classify_impact,
-    event_scenario_distribution,
-    parse_window_label,
-    run_event_study,
-)
-from .ingest import (
-    AlignedReturns,
-    EventRecord,
-    PriceSeries,
-    align,
-    load_event_registry,
-    load_price_series,
-    resolve_event_day,
-)
-from .model import (
-    DEFAULT_ESTIMATION_DAYS,
-    AdditiveFit,
-    EstimationWindow,
-    ModelFit,
-    abnormal_return,
-    additive_abnormal_return,
-    estimation_window,
-    fit_additive_model,
-    fit_market_model,
-)
-from .report import (
-    REPORT_COLUMNS,
-    ReportRow,
-    RunOutcome,
-    emit_histogram,
-    render_csv,
-    render_json,
-    run,
-    verify_decision_fixture,
-)
+from .inference import StudySettings, event_scenario_distribution, run_event_study
+from .ingest import load_event_registry, load_price_series
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignedReturns",
-    "AlignmentError",
-    "AdditiveFit",
-    "ConfigError",
-    "DataFormatError",
-    "DEFAULT_ESTIMATION_DAYS",
-    "DEFAULT_N_SCENARIOS",
-    "DegenerateModelError",
-    "EstimationWindow",
-    "EventRecord",
-    "EventResult",
-    "EventStudyError",
-    "EventWindow",
-    "Histogram",
-    "HistoryError",
-    "Impact",
-    "ModelFit",
-    "PriceSeries",
-    "Provenance",
-    "REPORT_COLUMNS",
-    "ReportRow",
-    "RunConfig",
-    "RunOutcome",
-    "STANDARD_DRAWS",
-    "STANDARD_WINDOWS",
-    "ScenarioDistribution",
-    "ScenarioSpec",
     "StudySettings",
-    "abnormal_return",
-    "actual_window_car",
-    "additive_abnormal_return",
-    "additive_baseline",
-    "align",
-    "classify_impact",
-    "cumulative_abnormal_return",
-    "derive_seed",
-    "emit_histogram",
-    "estimation_window",
     "event_scenario_distribution",
-    "fit_additive_model",
-    "fit_market_model",
-    "generate_distribution",
     "load_event_registry",
     "load_price_series",
-    "load_run_config",
-    "parse_window_label",
-    "percentile_of",
-    "render_csv",
-    "render_json",
-    "resolve_event_day",
-    "run",
     "run_event_study",
-    "verify_decision_fixture",
 ]

@@ -34,12 +34,11 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 import numpy as np
 
 __all__ = [
-    "STANDARD_DRAWS",
     "DEFAULT_N_SCENARIOS",
     "ScenarioSpec",
     "Histogram",
@@ -50,9 +49,6 @@ __all__ = [
     "derive_seed",
 ]
 
-#: Draw counts used by the five standard event windows.
-STANDARD_DRAWS = frozenset({2, 3, 5, 7, 12})
-
 #: Scenario count for a standard run.
 DEFAULT_N_SCENARIOS = 5_000_000
 
@@ -62,6 +58,8 @@ DEFAULT_CHUNK_SIZE = 1 << 17
 
 _MAX_SEED = 2**64 - 1
 _OUTPUTS_PER_BLOCK = 4  # Philox 4x64 emits four 64-bit words per counter tick
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -82,11 +80,6 @@ class ScenarioSpec:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.mode not in ("iid", "block"):
             raise ValueError(f"mode must be 'iid' or 'block', got {self.mode!r}")
-
-    @property
-    def is_standard_draws(self) -> bool:
-        """Whether ``draws_k`` matches one of the five standard windows."""
-        return self.draws_k in STANDARD_DRAWS
 
 
 @dataclass(frozen=True)
@@ -282,24 +275,28 @@ def generate_distribution(
     pool_gross = 1.0 + pool_arr
     bounds = _chunk_bounds(spec.n_scenarios, chunk_size)
 
-    def count_pass(bound: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, float, float]:
-        lo, hi = bound
-        cars = _chunk_cars(pool_gross, spec, lo, hi - lo)
+    def over_chunks(reduce: Callable[[np.ndarray], _T]) -> list[_T]:
+        """Generate every chunk's CARs and reduce each, serially or on threads."""
+
+        def one_chunk(bound: tuple[int, int]) -> _T:
+            lo, hi = bound
+            return reduce(_chunk_cars(pool_gross, spec, lo, hi - lo))
+
+        if workers == 1:
+            return [one_chunk(b) for b in bounds]
+        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
+            return list(pool_exec.map(one_chunk, bounds))
+
+    def count(cars: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
         below = np.array([(cars < v).sum() for v in refs], dtype=np.int64)
         equal = np.array([(cars == v).sum() for v in refs], dtype=np.int64)
         return below, equal, float(cars.min()), float(cars.max())
-
-    if workers == 1:
-        counted = [count_pass(b) for b in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            counted = list(pool_exec.map(count_pass, bounds))
 
     below_total = np.zeros(len(refs), dtype=np.int64)
     equal_total = np.zeros(len(refs), dtype=np.int64)
     min_car = np.inf
     max_car = -np.inf
-    for below, equal, cmin, cmax in counted:
+    for below, equal, cmin, cmax in over_chunks(count):
         below_total += below
         equal_total += equal
         min_car = min(min_car, cmin)
@@ -317,18 +314,11 @@ def generate_distribution(
                 np.empty(0), bins=histogram_bins, range=(min_car, max_car)
             )
 
-            def hist_pass(bound: tuple[int, int]) -> np.ndarray:
-                lo, hi = bound
-                cars = _chunk_cars(pool_gross, spec, lo, hi - lo)
+            def bin_counts(cars: np.ndarray) -> np.ndarray:
                 counts, _ = np.histogram(cars, bins=edges)
                 return counts.astype(np.int64)
 
-            if workers == 1:
-                hist_counts = [hist_pass(b) for b in bounds]
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-                    hist_counts = list(pool_exec.map(hist_pass, bounds))
-            histogram = Histogram(edges=edges, counts=sum(hist_counts))
+            histogram = Histogram(edges=edges, counts=sum(over_chunks(bin_counts)))
 
     return ScenarioDistribution(
         n=spec.n_scenarios,

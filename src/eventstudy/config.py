@@ -18,6 +18,11 @@ from .inference import StudySettings
 __all__ = ["RunConfig", "load_run_config"]
 
 _FORMATS = ("csv", "json")
+_PATH_KEYS = ("price_dir", "market_file", "events_file", "output")
+_REQUIRED = ("price_dir", "market_file", "events_file")
+#: Study settings are config keys too; each value takes its default's type.
+_SETTING_TYPES = {f.name: type(f.default) for f in fields(StudySettings)}
+_ALL_KEYS = frozenset(_PATH_KEYS + ("format",) + tuple(_SETTING_TYPES))
 
 
 @dataclass(frozen=True)
@@ -29,44 +34,13 @@ class RunConfig:
     events_file: Path
     output: Path = Path("report.csv")
     format: str = "csv"
-    n_scenarios: int = StudySettings.n_scenarios
-    seed: int = StudySettings.seed
-    mode: str = StudySettings.mode
-    threshold_lo: float = StudySettings.threshold_lo
-    threshold_hi: float = StudySettings.threshold_hi
-    estimation_days: int = StudySettings.estimation_days
-    workers: int = StudySettings.workers
+    settings: StudySettings = StudySettings()
 
     def __post_init__(self) -> None:
-        for name in ("price_dir", "market_file", "events_file", "output"):
+        for name in _PATH_KEYS:
             object.__setattr__(self, name, Path(getattr(self, name)))
         if self.format not in _FORMATS:
             raise ConfigError(f"format must be one of {', '.join(_FORMATS)}, got {self.format!r}")
-        try:
-            self.settings  # delegates numeric validation
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    @property
-    def settings(self) -> StudySettings:
-        return StudySettings(
-            n_scenarios=self.n_scenarios,
-            seed=self.seed,
-            mode=self.mode,
-            threshold_lo=self.threshold_lo,
-            threshold_hi=self.threshold_hi,
-            estimation_days=self.estimation_days,
-            workers=self.workers,
-        )
-
-
-_PATH_KEYS = ("price_dir", "market_file", "events_file", "output")
-_INT_KEYS = ("n_scenarios", "seed", "estimation_days", "workers")
-_FLOAT_KEYS = ("threshold_lo", "threshold_hi")
-_STR_KEYS = ("format", "mode")
-_REQUIRED = ("price_dir", "market_file", "events_file")
-_ALL_KEYS = frozenset(_PATH_KEYS + _INT_KEYS + _FLOAT_KEYS + _STR_KEYS)
-assert _ALL_KEYS == {f.name for f in fields(RunConfig)}
 
 
 def _parse_file(path: Path) -> dict[str, str]:
@@ -100,17 +74,12 @@ def _coerce(key: str, raw: str, base_dir: Path | None) -> object:
         if base_dir is not None and not p.is_absolute():
             p = base_dir / p
         return p
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
-    return raw
+    kind = _SETTING_TYPES.get(key, str)
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from exc
 
 
 def load_run_config(
@@ -136,7 +105,8 @@ def load_run_config(
             raise ConfigError(f"unknown override {key!r}")
         if raw is not None:
             kwargs[key] = _coerce(key, str(raw), None)
+    settings = {key: kwargs.pop(key) for key in _SETTING_TYPES if key in kwargs}
     try:
-        return RunConfig(**kwargs)  # type: ignore[arg-type]
+        return RunConfig(settings=StudySettings(**settings), **kwargs)  # type: ignore[arg-type]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .bootstrap import (
     DEFAULT_N_SCENARIOS,
-    STANDARD_DRAWS,
     ScenarioDistribution,
     ScenarioSpec,
     cumulative_abnormal_return,
@@ -237,7 +236,7 @@ def _provenance(settings: StudySettings, window: EventWindow) -> Provenance:
     flags: list[str] = []
     if settings.estimation_days != DEFAULT_ESTIMATION_DAYS:
         flags.append("nonstandard_estimation")
-    if window.n_days not in STANDARD_DRAWS:
+    if window not in STANDARD_WINDOWS:
         flags.append("nonstandard_window")
     return Provenance(
         seed=settings.seed,
@@ -269,8 +268,28 @@ def _prepare_event(
     return aligned, event_index, fit_market_model(window_data), fit_additive_model(window_data)
 
 
-def _window_seed(settings: StudySettings, event: EventRecord, window: EventWindow) -> int:
-    return derive_seed(settings.seed, event.key, window.label)
+def _window_distribution(
+    fit: ModelFit,
+    car: float,
+    event: EventRecord,
+    window: EventWindow,
+    settings: StudySettings,
+    histogram_bins: int | None = None,
+) -> ScenarioDistribution:
+    """The no-impact distribution of one (event, window), with ``car`` registered."""
+    spec = ScenarioSpec(
+        draws_k=window.n_days,
+        n_scenarios=settings.n_scenarios,
+        seed=derive_seed(settings.seed, event.key, window.label),
+        mode=settings.mode,
+    )
+    return generate_distribution(
+        fit.abnormal_returns,
+        spec,
+        references=(car,),
+        histogram_bins=histogram_bins,
+        workers=settings.workers,
+    )
 
 
 def run_event_study(
@@ -291,15 +310,7 @@ def run_event_study(
     results: list[EventResult] = []
     for window in windows:
         car = actual_window_car(aligned, fit, event_index, window)
-        spec = ScenarioSpec(
-            draws_k=window.n_days,
-            n_scenarios=settings.n_scenarios,
-            seed=_window_seed(settings, event, window),
-            mode=settings.mode,
-        )
-        distribution = generate_distribution(
-            fit.abnormal_returns, spec, references=(car,), workers=settings.workers
-        )
+        distribution = _window_distribution(fit, car, event, window, settings)
         percentile = percentile_of(distribution, car)
         results.append(
             EventResult(
@@ -333,17 +344,4 @@ def event_scenario_distribution(
     """
     aligned, event_index, fit, _ = _prepare_event(event, stock, market, settings, (window,))
     car = actual_window_car(aligned, fit, event_index, window)
-    spec = ScenarioSpec(
-        draws_k=window.n_days,
-        n_scenarios=settings.n_scenarios,
-        seed=_window_seed(settings, event, window),
-        mode=settings.mode,
-    )
-    distribution = generate_distribution(
-        fit.abnormal_returns,
-        spec,
-        references=(car,),
-        histogram_bins=histogram_bins,
-        workers=settings.workers,
-    )
-    return distribution, car
+    return _window_distribution(fit, car, event, window, settings, histogram_bins), car

@@ -5,7 +5,9 @@ five standard windows, and writes a single report.  Events fail
 independently: a missing price file or thin history for one event is
 logged and recorded, and the run moves on.  If anything failed, the report
 is written with a ``.partial`` suffix so downstream consumers can never
-mistake an incomplete report for a complete one.
+mistake an incomplete report for a complete one.  The write is atomic, and
+each run removes the other kind of report an earlier run left behind, so
+``<output>`` and ``<output>.partial`` never both exist after a run.
 
 Report bytes are a pure function of inputs and configuration — timing and
 throughput live in logs and in the returned :class:`RunOutcome`, never in
@@ -19,6 +21,7 @@ import csv
 import io
 import json
 import logging
+import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -139,6 +142,22 @@ class RunOutcome:
     scenarios_per_second: float | None
 
 
+def _write_atomically(path: Path, content: str) -> None:
+    """Write through a temporary file in the same directory, then rename it into place.
+
+    Readers see either the previous file or the complete new one, never a
+    half-written report.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temporary.write_text(content, encoding="utf-8")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def run(config: RunConfig) -> RunOutcome:
     """Execute a full study run and write its report.
 
@@ -177,16 +196,16 @@ def run(config: RunConfig) -> RunOutcome:
         logger.info("judged %s over %d windows", event.key, len(results))
 
     wrote_partial = bool(errors)
-    report_path = (
-        Path(f"{config.output}.partial") if wrote_partial else config.output
+    partial_path = Path(f"{config.output}.partial")
+    report_path, stale_path = (
+        (partial_path, config.output) if wrote_partial else (config.output, partial_path)
     )
     content = render_csv(rows) if config.format == "csv" else render_json(rows)
-    if report_path.parent and not report_path.parent.exists():
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(content, encoding="utf-8")
+    _write_atomically(report_path, content)
+    stale_path.unlink(missing_ok=True)
 
     elapsed = time.perf_counter() - started
-    scenarios_done = len(rows) * config.n_scenarios
+    scenarios_done = len(rows) * config.settings.n_scenarios
     throughput = scenarios_done / elapsed if elapsed > 0 and scenarios_done else None
     logger.info(
         "wrote %s: %d rows, %d failed events, %.2fs%s",

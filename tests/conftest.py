@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eventstudy import PriceSeries
+from eventstudy.ingest import PriceSeries
 
 
 def trading_calendar(start: date, n: int) -> tuple[date, ...]:

@@ -12,23 +12,19 @@ import time
 import numpy as np
 import pytest
 
-from eventstudy import (
-    EventRecord,
+from eventstudy import StudySettings, run_event_study
+from eventstudy.bootstrap import (
     ScenarioDistribution,
     ScenarioSpec,
-    StudySettings,
-    align,
     cumulative_abnormal_return,
-    fit_market_model,
     generate_distribution,
-    load_run_config,
     percentile_of,
-    run,
-    run_event_study,
-    verify_decision_fixture,
 )
+from eventstudy.config import load_run_config
 from eventstudy.inference import Impact
-from eventstudy.model import EstimationWindow
+from eventstudy.ingest import EventRecord, align
+from eventstudy.model import EstimationWindow, fit_market_model
+from eventstudy.report import run, verify_decision_fixture
 
 from .conftest import (
     FIXTURES_DIR,

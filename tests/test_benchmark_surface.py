@@ -1,0 +1,69 @@
+"""The program surface the traced benchmark run patches and calls.
+
+``benchmark/traced_cli.py`` replaces the functions listed in its
+``WRAPPED`` table at the names their callers look up, and
+``benchmark/speedup.py`` calls ``generate_distribution`` with ``workers``.
+A rename or a changed call shape in ``src/`` would break those runs
+without failing any other test.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import eventstudy.inference as inference
+from eventstudy import StudySettings, event_scenario_distribution
+from eventstudy.bootstrap import ScenarioSpec, generate_distribution
+from eventstudy.ingest import EventRecord, align
+
+from .conftest import stock_from_market
+
+TRACED_CLI = Path(__file__).resolve().parent.parent / "benchmark" / "traced_cli.py"
+
+
+def _wrapped():
+    spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WRAPPED
+
+
+@pytest.mark.parametrize(
+    "module_name,attribute",
+    [(module_name, attribute) for module_name, attribute, _ in _wrapped()],
+    ids=lambda value: value,
+)
+def test_wrapped_attribute_resolves(module_name, attribute):
+    assert callable(getattr(importlib.import_module(module_name), attribute))
+
+
+def test_generate_distribution_keeps_operational_keywords():
+    parameters = inspect.signature(generate_distribution).parameters
+    for name in ("workers", "chunk_size"):
+        assert parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_generate_call_shape_seen_by_the_tracer(market, monkeypatch):
+    """The tracer reads the spec as the second positional argument and
+    ``histogram_bins`` as a keyword."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return generate_distribution(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "generate_distribution", recording)
+    event = EventRecord("stock", align(market, market).dates[230])
+    event_scenario_distribution(
+        event, stock_from_market(market), market, inference.STANDARD_WINDOWS[0],
+        StudySettings(n_scenarios=500, workers=2), histogram_bins=7,
+    )
+    (args, kwargs), = calls
+    assert isinstance(args[1], ScenarioSpec)
+    assert kwargs["histogram_bins"] == 7
+    assert kwargs["workers"] == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventstudy import (
+from eventstudy.bootstrap import (
     Histogram,
     ScenarioDistribution,
     ScenarioSpec,
@@ -84,10 +84,6 @@ class TestCumulativeAbnormalReturn:
 
 
 class TestScenarioSpec:
-    def test_standard_draws_flag(self):
-        assert ScenarioSpec(draws_k=12).is_standard_draws
-        assert not ScenarioSpec(draws_k=4).is_standard_draws
-
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -5,21 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from eventstudy import (
+from eventstudy import StudySettings, event_scenario_distribution, run_event_study
+from eventstudy.bootstrap import percentile_of
+from eventstudy.errors import HistoryError
+from eventstudy.inference import (
     STANDARD_WINDOWS,
-    EventRecord,
     EventWindow,
-    HistoryError,
     Impact,
-    PriceSeries,
-    StudySettings,
-    align,
     classify_impact,
-    event_scenario_distribution,
     parse_window_label,
-    percentile_of,
-    run_event_study,
 )
+from eventstudy.ingest import EventRecord, PriceSeries, align
 
 from .conftest import stock_from_market, synthetic_market
 

@@ -10,18 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventstudy import (
-    AlignedReturns,
-    AlignmentError,
-    DataFormatError,
-    EventRecord,
-    HistoryError,
-    PriceSeries,
-    align,
-    load_event_registry,
-    load_price_series,
-    resolve_event_day,
-)
+from eventstudy import load_event_registry, load_price_series
+from eventstudy.errors import AlignmentError, DataFormatError, HistoryError
+from eventstudy.ingest import AlignedReturns, EventRecord, PriceSeries, align, resolve_event_day
 
 from .conftest import synthetic_market, trading_calendar, write_price_csv
 

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventstudy import (
-    DegenerateModelError,
+from eventstudy.errors import DegenerateModelError, HistoryError
+from eventstudy.ingest import align
+from eventstudy.model import (
     EstimationWindow,
-    HistoryError,
     abnormal_return,
     additive_abnormal_return,
-    align,
     estimation_window,
     fit_additive_model,
     fit_market_model,

@@ -5,19 +5,18 @@ from __future__ import annotations
 import csv
 import json
 import re
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
 
-from eventstudy import (
-    REPORT_COLUMNS,
-    ConfigError,
-    align,
-    classify_impact,
-    load_run_config,
-    run,
-)
+from eventstudy import StudySettings
 from eventstudy.cli import main
+from eventstudy.config import load_run_config
+from eventstudy.errors import ConfigError
+from eventstudy.inference import classify_impact
+from eventstudy.ingest import align
+from eventstudy.report import REPORT_COLUMNS, run
 
 from .conftest import (
     FIXTURES_DIR,
@@ -69,6 +68,18 @@ def universe(tmp_path):
     )
 
 
+#: A non-default, valid config value for every study setting.
+SETTING_SAMPLES = {
+    "n_scenarios": ("1234", 1234),
+    "seed": ("42", 42),
+    "mode": ("block", "block"),
+    "threshold_lo": ("12.5", 12.5),
+    "threshold_hi": ("80", 80.0),
+    "estimation_days": ("150", 150),
+    "workers": ("3", 3),
+}
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
@@ -80,14 +91,35 @@ class TestLoadRunConfig:
         assert config.price_dir == universe.price_dir
         assert config.market_file == universe.market_file
         assert config.output == universe.tmp / "report.csv"
-        assert config.n_scenarios == 2000
-        assert config.seed == 9
+        assert config.settings.n_scenarios == 2000
+        assert config.settings.seed == 9
 
     def test_overrides_win(self, universe):
         config = load_run_config(
             universe.config, {"seed": "77", "n_scenarios": "500", "mode": "block"}
         )
-        assert (config.seed, config.n_scenarios, config.mode) == (77, 500, "block")
+        settings = config.settings
+        assert (settings.seed, settings.n_scenarios, settings.mode) == (77, 500, "block")
+
+    @pytest.mark.parametrize("field", fields(StudySettings), ids=lambda f: f.name)
+    @pytest.mark.parametrize("source", ["file", "override"])
+    def test_every_setting_is_a_typed_key(self, universe, field, source):
+        raw, expected = SETTING_SAMPLES[field.name]
+        overrides = None
+        if source == "file":
+            lines = universe.config.read_text(encoding="utf-8").splitlines()
+            kept = [line for line in lines if not line.startswith(f"{field.name} =")]
+            kept.append(f"{field.name} = {raw}")
+            universe.config.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        else:
+            overrides = {field.name: raw}
+        value = getattr(load_run_config(universe.config, overrides).settings, field.name)
+        assert value == expected
+        assert type(value) is type(field.default)
+
+    def test_bad_number(self, universe):
+        with pytest.raises(ConfigError, match="threshold_lo: expected a number"):
+            load_run_config(universe.config, {"threshold_lo": "low"})
 
     def test_unknown_key_rejected(self, universe):
         universe.config.write_text("price_dir = p\nwhatever = 3\n", encoding="utf-8")
@@ -187,6 +219,21 @@ class TestRun:
         key, message = outcome.errors[0]
         assert key == f"ghost@{universe.event_day}"
         assert "ghost.csv" in message
+
+    def test_each_run_removes_the_other_report(self, universe):
+        config = load_run_config(universe.config)
+        complete, partial = universe.tmp / "report.csv", universe.tmp / "report.csv.partial"
+        good_events = universe.events_file.read_text(encoding="utf-8")
+
+        run(config)
+        assert complete.exists() and not partial.exists()
+        write_events_csv(universe.events_file, [("ghost", universe.event_day, "Ghost Ltd")])
+        run(config)
+        assert partial.exists() and not complete.exists()
+        universe.events_file.write_text(good_events, encoding="utf-8")
+        run(config)
+        assert complete.exists() and not partial.exists()
+        assert not list(universe.tmp.glob(".*.tmp"))  # no temporary file left over
 
     def test_empty_registry_writes_header_only(self, universe, caplog):
         write_events_csv(universe.events_file, [])
