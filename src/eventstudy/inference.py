@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .bootstrap import (
     DEFAULT_N_SCENARIOS,
+    GENERATOR,
     ScenarioDistribution,
     ScenarioSpec,
     cumulative_abnormal_return,
@@ -215,7 +216,7 @@ class Provenance:
     mode: str
     n_scenarios: int
     estimation_days: int
-    generator: str = "philox4x64"
+    generator: str = GENERATOR
     flags: tuple[str, ...] = ()
 
 

@@ -240,7 +240,7 @@ def emit_histogram(distribution: ScenarioDistribution, path: str | Path) -> Path
     for i in range(hist.counts.size):
         writer.writerow((repr(float(hist.edges[i])), repr(float(hist.edges[i + 1])),
                          int(hist.counts[i])))
-    path.write_text(buffer.getvalue(), encoding="utf-8")
+    _write_atomically(path, buffer.getvalue())
     return path
 
 

@@ -21,25 +21,31 @@ from eventstudy.bootstrap import (
 def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
     """Independent scalar re-derivation of every scenario's CAR.
 
-    Positions a fresh generator at each scenario's own counter blocks and
-    multiplies factors one by one — no chunking, no vectorised gather.
-    The engine must match this bit for bit.
+    Positions a fresh generator at the counter block holding each scenario's
+    first draw, splits the 64-bit words into 32-bit draws with shifts and
+    masks, and multiplies factors one by one — no chunking, no vectorised
+    gather, no reinterpreted memory.  The engine must match this bit for bit.
     """
     gross = 1.0 + np.asarray(pool, dtype=float)
     pool_len = gross.size
-    draws = spec.draws_k if spec.mode == "iid" else 1
-    blocks = -(-draws // 4)
+    per_scenario = spec.draws_k if spec.mode == "iid" else 1
     cars = np.empty(spec.n_scenarios)
     for i in range(spec.n_scenarios):
+        first = i * per_scenario
+        skip = first % 8  # one Philox 4x64 block: four 64-bit words, eight draws
         gen = np.random.Philox(key=spec.seed)
-        gen.advance(i * blocks)
-        raw = gen.random_raw(blocks * 4)
+        gen.advance(first // 8)
+        words = [int(w) for w in gen.random_raw(-(-(skip + per_scenario) // 2))]
+        draws = [
+            words[q // 2] >> 32 if q % 2 else words[q // 2] & 0xFFFFFFFF
+            for q in range(skip, skip + per_scenario)
+        ]
         product = 1.0
         if spec.mode == "iid":
-            for j in range(spec.draws_k):
-                product *= gross[int(raw[j] % pool_len)]
+            for u in draws:
+                product *= gross[u % pool_len]
         else:
-            start = int(raw[0] % (pool_len - spec.draws_k + 1))
+            start = draws[0] % (pool_len - spec.draws_k + 1)
             for j in range(start, start + spec.draws_k):
                 product *= gross[j]
         cars[i] = product - 1.0
@@ -101,7 +107,8 @@ class TestScenarioSpec:
 
 class TestEngineMatchesScalarOracle:
     @pytest.mark.parametrize(
-        "mode,draws", [("iid", 2), ("iid", 5), ("iid", 12), ("block", 3), ("block", 7)]
+        "mode,draws",
+        [("iid", 1), ("iid", 2), ("iid", 5), ("iid", 12), ("block", 1), ("block", 3), ("block", 7)],
     )
     def test_counts_min_max_bitwise(self, pool, mode, draws):
         spec = ScenarioSpec(draws_k=draws, n_scenarios=800, seed=99, mode=mode)
@@ -113,6 +120,20 @@ class TestEngineMatchesScalarOracle:
             assert dist.count_equal(value) == int((expected == value).sum())
         assert dist.min_car == expected.min()
         assert dist.max_car == expected.max()
+
+    @pytest.mark.parametrize("mode,draws", [("iid", 5), ("block", 3)])
+    def test_longer_run_extends_a_shorter_one(self, pool, mode, draws):
+        # Nothing pads or reorders the draws, so the first 1,000 scenarios
+        # of a 5,000-scenario stream are exactly a 1,000-scenario run.
+        long_spec = ScenarioSpec(draws_k=draws, n_scenarios=5_000, seed=41, mode=mode)
+        expected = rederive_cars(pool, long_spec)[:1_000]
+        references = sorted(set(expected.tolist()))
+        short_spec = ScenarioSpec(draws_k=draws, n_scenarios=1_000, seed=41, mode=mode)
+        dist = generate_distribution(pool, short_spec, references=references, chunk_size=173)
+        for value in references:
+            assert dist.count_below(value) == int((expected < value).sum())
+            assert dist.count_equal(value) == int((expected == value).sum())
+        assert (dist.min_car, dist.max_car) == (expected.min(), expected.max())
 
 
 class TestDeterminism:
@@ -182,6 +203,21 @@ class TestResamplingStatistics:
         for count in counts:  # uniform over the three admissible starts
             sigma = np.sqrt(spec.n_scenarios * (1 / 3) * (2 / 3))
             assert abs(count - spec.n_scenarios / 3) < 4 * sigma
+
+    @pytest.mark.parametrize("mode", ["iid", "block"])
+    def test_every_pool_day_equally_likely(self, mode):
+        # One draw per scenario on 199 distinct days: each day's count is
+        # binomial(n, 1/199).  A wrong modulus, a skewed mapping or draws
+        # that never vary would push some count far outside 5 standard errors.
+        pool_values = np.arange(1, 200) / 1000.0
+        spec = ScenarioSpec(draws_k=1, n_scenarios=1_000_000, seed=53, mode=mode)
+        outcomes = ((1.0 + pool_values) - 1.0).tolist()  # a one-day CAR, as compounded
+        dist = generate_distribution(pool_values, spec, references=outcomes)
+        counts = np.array([dist.count_equal(v) for v in outcomes])
+        assert counts.sum() == spec.n_scenarios
+        p = 1 / pool_values.size
+        sigma = np.sqrt(spec.n_scenarios * p * (1 - p))
+        assert np.abs(counts - spec.n_scenarios * p).max() < 5 * sigma
 
     def test_iid_mean_matches_theory(self, pool):
         # E[1 + CAR] = (mean gross)^k for iid draws; check via histogram

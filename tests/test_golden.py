@@ -26,12 +26,12 @@ EVENT_INDEX = 230
 N_SCENARIOS = 150_000
 
 REPORT_SHA256 = {
-    ("iid", "csv"): "5019e8ac115118d4cddf24fe50b3ad38304a967ff1675834efbdaacc40d60b77",
-    ("iid", "json"): "88617e7e2fbab5df2a82431b30ede5f4a9334b8e66373e947e6d55bd23aecee0",
-    ("block", "csv"): "29169720cf2641952cbbe2b91b85e663e05ade8dde63c91f4c69991cdaae9b30",
-    ("block", "json"): "f4142377903bce08a807677f56802d514f2865f6c390319a327c83476cf9d1b1",
+    ("iid", "csv"): "6eed4822128b82980b616ff00b7bfb8d537f857a52a6b41f30b9df9a098ccf67",
+    ("iid", "json"): "9b4a16e8a9fc6a9e466478a803a3d8e96338f581aa5fdca64aaf4083ae7a38d0",
+    ("block", "csv"): "be5a220f60763022526fda678a34d3b37574b75a860cac4f99e446f6da351ef6",
+    ("block", "json"): "87fba522f70f97ad8b80ee5955ce96b78eb65e53459b5c2695bba070d5b5fd43",
 }
-HISTOGRAM_SHA256 = "5eedf6166b084c35f81b8ef369a762292abdc0937576cee0c4303d73d376ac01"
+HISTOGRAM_SHA256 = "4c9dba08f12b459900d82ef59c4f59f2f3f8f89599e1a0789405e3e3364240e7"
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ def test_report_bytes_are_pinned(golden_universe, mode, fmt, workers):
         "mode": mode, "format": fmt, "workers": str(workers), "output": str(output),
     }))
     assert not outcome.wrote_partial
-    assert {row.generator for row in outcome.rows} == {"philox4x64"}
+    assert {row.generator for row in outcome.rows} == {"philox4x64-u32"}
     assert _sha256(output) == REPORT_SHA256[mode, fmt]
 
 

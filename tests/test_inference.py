@@ -134,7 +134,7 @@ class TestRunEventStudy:
             assert result.provenance.mode == "iid"
             assert result.provenance.n_scenarios == FAST.n_scenarios
             assert result.provenance.estimation_days == 200
-            assert result.provenance.generator == "philox4x64"
+            assert result.provenance.generator == "philox4x64-u32"
             assert result.provenance.flags == ()
 
     def test_rerun_is_bit_identical(self, market):

@@ -6,6 +6,7 @@ import csv
 import json
 import re
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +17,8 @@ from eventstudy.config import load_run_config
 from eventstudy.errors import ConfigError
 from eventstudy.inference import classify_impact
 from eventstudy.ingest import align
-from eventstudy.report import REPORT_COLUMNS, run
+from eventstudy.bootstrap import ScenarioSpec, generate_distribution
+from eventstudy.report import REPORT_COLUMNS, emit_histogram, run
 
 from .conftest import (
     FIXTURES_DIR,
@@ -174,7 +176,7 @@ class TestRun:
         ]
         assert {r["seed"] for r in rows} == {"9"}
         assert {r["n_scenarios"] for r in rows} == {"2000"}
-        assert {r["generator"] for r in rows} == {"philox4x64"}
+        assert {r["generator"] for r in rows} == {"philox4x64-u32"}
 
     def test_csv_number_formatting(self, universe):
         outcome = run(load_run_config(universe.config))
@@ -325,6 +327,25 @@ class TestCli:
         assert sum(int(r["count"]) for r in rows) == 2000
         assert len(rows) == 40
         assert "percentile=" in capsys.readouterr().out
+
+    def test_failed_histogram_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        pool = [-0.02, 0.0, 0.01, 0.03]
+        spec = ScenarioSpec(draws_k=2, n_scenarios=500, seed=3)
+        out = tmp_path / "hist.csv"
+        emit_histogram(generate_distribution(pool, spec, histogram_bins=5), out)
+        earlier = out.read_bytes()
+
+        real_write_text = Path.write_text
+
+        def write_half_then_fail(self, data, *args, **kwargs):
+            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            emit_histogram(generate_distribution(pool, spec, histogram_bins=9), out)
+        assert out.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["hist.csv"]
 
     def test_histogram_by_bare_instrument_id(self, universe):
         out = universe.tmp / "hist.csv"
