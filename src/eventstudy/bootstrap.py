@@ -139,7 +139,6 @@ class ScenarioDistribution:
     n: int
     min_car: float
     max_car: float
-    spec: ScenarioSpec
     references: Mapping[float, tuple[int, int]] = field(repr=False)
     histogram: Histogram | None = None
 
@@ -350,7 +349,6 @@ def generate_distribution(
         n=spec.n_scenarios,
         min_car=float(min_car),
         max_car=float(max_car),
-        spec=spec,
         references={v: (int(b), int(e)) for v, b, e in zip(refs, below_total, equal_total)},
         histogram=histogram,
     )

@@ -115,7 +115,7 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
 
     market = load_price_series(config.market_file)
     stock = load_price_series(
-        config.price_dir / f"{event.instrument_id}.csv", instrument_id=event.instrument_id
+        config.price_file(event.instrument_id), instrument_id=event.instrument_id
     )
     distribution, car = event_scenario_distribution(
         event, stock, market, window, config.settings, histogram_bins=args.bins

@@ -42,6 +42,10 @@ class RunConfig:
         if self.format not in _FORMATS:
             raise ConfigError(f"format must be one of {', '.join(_FORMATS)}, got {self.format!r}")
 
+    def price_file(self, instrument_id: str) -> Path:
+        """The price history of one instrument: ``<price_dir>/<instrument_id>.csv``."""
+        return self.price_dir / f"{instrument_id}.csv"
+
 
 def _parse_file(path: Path) -> dict[str, str]:
     try:

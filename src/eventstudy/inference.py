@@ -31,7 +31,7 @@ from .bootstrap import (
     generate_distribution,
     percentile_of,
 )
-from .errors import HistoryError
+from .errors import ConfigError, HistoryError
 from .ingest import AlignedReturns, EventRecord, PriceSeries, align, resolve_event_day
 from .model import (
     DEFAULT_ESTIMATION_DAYS,
@@ -75,32 +75,26 @@ class Impact(enum.Enum):
 class EventWindow:
     """A window of trading days around the announcement, in day offsets.
 
-    Offset 0 is the announcement's trading day.  The start is pinned at
-    -1: the day before the announcement is always included.
+    Offset 0 is the announcement's trading day.  Every window opens at
+    offset -1: the day before the announcement is always included.
     """
 
     end_offset: int
-    start_offset: int = -1
 
     def __post_init__(self) -> None:
-        if self.start_offset != -1:
+        if self.end_offset < -1:
             raise ValueError(
-                f"event windows open the day before the announcement "
-                f"(start_offset -1), got {self.start_offset}"
-            )
-        if self.end_offset < self.start_offset:
-            raise ValueError(
-                f"end_offset {self.end_offset} precedes start_offset {self.start_offset}"
+                f"end_offset {self.end_offset} precedes the window's start at -1"
             )
 
     @property
     def n_days(self) -> int:
         """Trading days in the window — also the draws per scenario."""
-        return self.end_offset - self.start_offset + 1
+        return self.end_offset + 2
 
     @property
     def label(self) -> str:
-        return f"[{self.start_offset},{self.end_offset}]"
+        return f"[-1,{self.end_offset}]"
 
 
 #: The five standard event windows: 2, 3, 5, 7, and 12 trading days.
@@ -121,7 +115,12 @@ def parse_window_label(label: str) -> EventWindow:
     if not match:
         raise ValueError(f"unparsable window label {label!r} (expected like '[-1,5]')")
     start, end = int(match.group(1)), int(match.group(2))
-    return EventWindow(end_offset=end, start_offset=start)
+    if start != -1:
+        raise ValueError(
+            f"window label {label!r} starts at {start}: event windows open the day "
+            f"before the announcement, at -1"
+        )
+    return EventWindow(end_offset=end)
 
 
 def classify_impact(
@@ -149,7 +148,7 @@ def classify_impact(
 def _window_bounds(
     aligned: AlignedReturns, event_index: int, window: EventWindow
 ) -> tuple[int, int]:
-    lo = event_index + window.start_offset
+    lo = event_index - 1
     hi = event_index + window.end_offset
     if lo < 0 or hi >= len(aligned):
         raise HistoryError(
@@ -258,6 +257,12 @@ def _prepare_event(
     """Align, place the event, and fit both models — shared by all windows."""
     if not windows:
         raise ValueError("need at least one event window")
+    longest = max(w.n_days for w in windows)
+    if settings.mode == "block" and settings.estimation_days < longest:
+        raise ConfigError(
+            f"block mode resamples runs of {longest} consecutive estimation days, "
+            f"but estimation_days is {settings.estimation_days}"
+        )
     aligned = align(stock, market)
     event_index = resolve_event_day(
         event,

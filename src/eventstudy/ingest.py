@@ -27,6 +27,7 @@ __all__ = [
     "PriceSeries",
     "EventRecord",
     "AlignedReturns",
+    "read_csv_rows",
     "load_price_series",
     "load_event_registry",
     "align",
@@ -127,7 +128,7 @@ class AlignedReturns:
         return len(self.dates)
 
 
-def _read_rows(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
+def read_csv_rows(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
     """Read a CSV file and return ``(line_number, row)`` pairs.
 
     Raises :class:`DataFormatError` if the file is unreadable or the header
@@ -157,13 +158,7 @@ def _parse_iso_date(raw: str, path: Path, line_num: int) -> date:
         ) from exc
 
 
-def load_price_series(
-    path: str | Path,
-    *,
-    instrument_id: str | None = None,
-    date_column: str = "date",
-    price_column: str = "close",
-) -> PriceSeries:
+def load_price_series(path: str | Path, *, instrument_id: str | None = None) -> PriceSeries:
     """Load one instrument's price history from a CSV file.
 
     Rows may appear in any order; the result is sorted by date.  Duplicate
@@ -172,21 +167,21 @@ def load_price_series(
     defaults to the file's stem.
     """
     path = Path(path)
-    rows = _read_rows(path, (date_column, price_column))
+    rows = read_csv_rows(path, ("date", "close"))
     if instrument_id is None:
         instrument_id = path.stem
 
     seen: dict[date, int] = {}
     parsed: list[tuple[date, float]] = []
     for line_num, row in rows:
-        day = _parse_iso_date(row[date_column] or "", path, line_num)
+        day = _parse_iso_date(row["date"] or "", path, line_num)
         if day in seen:
             raise DataFormatError(
                 f"{path}: row {line_num}: duplicate date {day.isoformat()} "
                 f"(first seen at row {seen[day]})"
             )
         seen[day] = line_num
-        raw_price = (row[price_column] or "").strip()
+        raw_price = (row["close"] or "").strip()
         try:
             price = float(raw_price)
         except ValueError as exc:
@@ -212,7 +207,7 @@ def load_price_series(
 def load_event_registry(path: str | Path) -> list[EventRecord]:
     """Load the event registry: one announcement per row, in file order."""
     path = Path(path)
-    rows = _read_rows(path, ("instrument_id", "date"))
+    rows = read_csv_rows(path, ("instrument_id", "date"))
     events: list[EventRecord] = []
     for line_num, row in rows:
         instrument = (row["instrument_id"] or "").strip()

@@ -19,7 +19,6 @@ multiplicative model exists to capture.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date
 from math import sqrt
 
 import numpy as np
@@ -28,7 +27,6 @@ from .errors import DegenerateModelError, HistoryError
 from .ingest import AlignedReturns
 
 __all__ = [
-    "EstimationWindow",
     "ModelFit",
     "AdditiveFit",
     "estimation_window",
@@ -42,34 +40,9 @@ __all__ = [
 DEFAULT_ESTIMATION_DAYS = 200
 
 
-@dataclass(frozen=True)
-class EstimationWindow:
-    """The pre-event slice of aligned returns a model is fitted on."""
-
-    dates: tuple[date, ...]
-    stock_returns: np.ndarray = field(repr=False)
-    market_returns: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
-        stock = np.asarray(self.stock_returns, dtype=np.float64)
-        market = np.asarray(self.market_returns, dtype=np.float64)
-        object.__setattr__(self, "stock_returns", stock)
-        object.__setattr__(self, "market_returns", market)
-        if not (len(self.dates) == stock.size == market.size):
-            raise ValueError(
-                f"length mismatch: {len(self.dates)} dates, "
-                f"{stock.size} stock returns, {market.size} market returns"
-            )
-
-    @property
-    def n_days(self) -> int:
-        return len(self.dates)
-
-
 def estimation_window(
     aligned: AlignedReturns, event_index: int, days: int = DEFAULT_ESTIMATION_DAYS
-) -> EstimationWindow:
+) -> AlignedReturns:
     """Cut the ``days`` return days ending two days before the event.
 
     The window deliberately stops at offset -2 so the day immediately
@@ -85,7 +58,7 @@ def estimation_window(
             f"insufficient history before event index {event_index}: a {days}-day "
             f"estimation window ending 2 days before it starts at index {start}"
         )
-    return EstimationWindow(
+    return AlignedReturns(
         dates=aligned.dates[start : stop + 1],
         stock_returns=aligned.stock_returns[start : stop + 1],
         market_returns=aligned.market_returns[start : stop + 1],
@@ -105,7 +78,6 @@ class ModelFit:
     beta: float
     log_alpha: float
     beta_stderr: float
-    n_days: int
     abnormal_returns: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -114,10 +86,6 @@ class ModelFit:
         )
         if not self.alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.abnormal_returns.size != self.n_days:
-            raise ValueError(
-                f"{self.abnormal_returns.size} abnormal returns for {self.n_days} days"
-            )
 
 
 @dataclass(frozen=True)
@@ -126,29 +94,20 @@ class AdditiveFit:
 
     alpha: float
     beta: float
-    beta_stderr: float
-    n_days: int
 
 
-def _check_gross_positive(window: EstimationWindow) -> None:
-    if np.any(window.stock_returns <= -1.0) or np.any(window.market_returns <= -1.0):
-        raise DegenerateModelError(
-            "invalid return in estimation window: gross return 1 + r must be positive"
-        )
-
-
-def fit_market_model(window: EstimationWindow) -> ModelFit:
+def fit_market_model(window: AlignedReturns) -> ModelFit:
     """Fit the multiplicative model on an estimation window.
 
-    Raises :class:`DegenerateModelError` for windows shorter than 3 days,
-    any non-positive gross return (its log is undefined), or a market leg
-    with zero variance (the slope is unidentifiable).
+    Raises :class:`DegenerateModelError` for windows shorter than 3 days or
+    a market leg with zero variance (the slope is unidentifiable).  Every
+    gross return is positive, so its log is defined: :class:`AlignedReturns`
+    rejects any return <= -1 when it is built.
     """
-    if window.n_days < 3:
+    if len(window) < 3:
         raise DegenerateModelError(
-            f"need at least 3 estimation days to fit, got {window.n_days}"
+            f"need at least 3 estimation days to fit, got {len(window)}"
         )
-    _check_gross_positive(window)
 
     x = np.log1p(window.market_returns)
     y = np.log1p(window.stock_returns)
@@ -167,8 +126,8 @@ def fit_market_model(window: EstimationWindow) -> ModelFit:
     alpha = float((1.0 + window.stock_returns).sum() / gross_market_pow.sum())
 
     residuals = y - (log_alpha + beta * x)
-    dof = window.n_days - 2
-    beta_stderr = sqrt(float(residuals @ residuals) / dof / s_xx) if dof > 0 else float("nan")
+    dof = len(window) - 2
+    beta_stderr = sqrt(float(residuals @ residuals) / dof / s_xx)
 
     # Same arithmetic as abnormal_return(); inlined because the fit object
     # does not exist yet.
@@ -179,16 +138,15 @@ def fit_market_model(window: EstimationWindow) -> ModelFit:
         beta=beta,
         log_alpha=log_alpha,
         beta_stderr=beta_stderr,
-        n_days=window.n_days,
         abnormal_returns=pool,
     )
 
 
-def fit_additive_model(window: EstimationWindow) -> AdditiveFit:
+def fit_additive_model(window: AlignedReturns) -> AdditiveFit:
     """Fit the additive comparison model on the same window."""
-    if window.n_days < 3:
+    if len(window) < 3:
         raise DegenerateModelError(
-            f"need at least 3 estimation days to fit, got {window.n_days}"
+            f"need at least 3 estimation days to fit, got {len(window)}"
         )
     x = window.market_returns
     y = window.stock_returns
@@ -200,10 +158,7 @@ def fit_additive_model(window: EstimationWindow) -> AdditiveFit:
         )
     beta = float(x_dev @ (y - y.mean())) / s_xx
     alpha = float(y.mean() - beta * x.mean())
-    residuals = y - (alpha + beta * x)
-    dof = window.n_days - 2
-    beta_stderr = sqrt(float(residuals @ residuals) / dof / s_xx) if dof > 0 else float("nan")
-    return AdditiveFit(alpha=alpha, beta=beta, beta_stderr=beta_stderr, n_days=window.n_days)
+    return AdditiveFit(alpha=alpha, beta=beta)
 
 
 def abnormal_return(
@@ -222,10 +177,7 @@ def abnormal_return(
     if np.any(stock <= -1.0) or np.any(market <= -1.0):
         raise ValueError("returns must be greater than -1")
     predicted_gross = fit.alpha * np.power(1.0 + market, fit.beta)
-    result = (1.0 + stock) / predicted_gross - 1.0
-    if np.isscalar(stock_returns) and np.isscalar(market_returns):
-        return float(result)
-    return result
+    return (1.0 + stock) / predicted_gross - 1.0
 
 
 def additive_abnormal_return(
@@ -236,7 +188,4 @@ def additive_abnormal_return(
     """One-day abnormal return(s) under the additive comparison fit."""
     stock = np.asarray(stock_returns, dtype=np.float64)
     market = np.asarray(market_returns, dtype=np.float64)
-    result = stock - (fit.alpha + fit.beta * market)
-    if np.isscalar(stock_returns) and np.isscalar(market_returns):
-        return float(result)
-    return result
+    return stock - (fit.alpha + fit.beta * market)

@@ -23,14 +23,14 @@ import json
 import logging
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .bootstrap import ScenarioDistribution
 from .config import RunConfig
 from .errors import ConfigError, DataFormatError, EventStudyError
 from .inference import EventResult, classify_impact, run_event_study
-from .ingest import load_event_registry, load_price_series
+from .ingest import load_event_registry, load_price_series, read_csv_rows
 
 __all__ = [
     "REPORT_COLUMNS",
@@ -44,25 +44,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-#: Column order of every report, CSV and JSON alike.
-REPORT_COLUMNS = (
-    "company",
-    "event_period",
-    "car",
-    "car_percentile",
-    "impact",
-    "car_additive",
-    "instrument_id",
-    "announcement_date",
-    "seed",
-    "mode",
-    "n_scenarios",
-    "estimation_days",
-    "generator",
-    "flags",
-)
-
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -105,12 +86,16 @@ class ReportRow:
         )
 
 
+#: Column order of every report, CSV and JSON alike.
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
+
+
 def _formatted(row: ReportRow) -> dict[str, str]:
     values = asdict(row)
     values["car"] = f"{row.car:.9f}"
     values["car_percentile"] = f"{row.car_percentile:.5f}"
     values["car_additive"] = f"{row.car_additive:.9f}"
-    return {key: str(values[key]) for key in REPORT_COLUMNS}
+    return {key: str(value) for key, value in values.items()}
 
 
 def render_csv(rows: list[ReportRow]) -> str:
@@ -125,7 +110,7 @@ def render_csv(rows: list[ReportRow]) -> str:
 
 def render_json(rows: list[ReportRow]) -> str:
     """Render rows as JSON, keeping floats at full precision."""
-    payload = {"rows": [{key: asdict(row)[key] for key in REPORT_COLUMNS} for row in rows]}
+    payload = {"rows": [asdict(row) for row in rows]}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -137,7 +122,6 @@ class RunOutcome:
     errors: list[tuple[str, str]]
     report_path: Path
     wrote_partial: bool
-    n_events: int
     elapsed_seconds: float
     scenarios_per_second: float | None
 
@@ -184,9 +168,10 @@ def run(config: RunConfig) -> RunOutcome:
     rows: list[ReportRow] = []
     errors: list[tuple[str, str]] = []
     for event in events:
-        price_file = config.price_dir / f"{event.instrument_id}.csv"
         try:
-            stock = load_price_series(price_file, instrument_id=event.instrument_id)
+            stock = load_price_series(
+                config.price_file(event.instrument_id), instrument_id=event.instrument_id
+            )
             results = run_event_study(event, stock, market, settings)
         except EventStudyError as exc:
             logger.warning("skipping %s: %s", event.key, exc)
@@ -220,7 +205,6 @@ def run(config: RunConfig) -> RunOutcome:
         errors=errors,
         report_path=report_path,
         wrote_partial=wrote_partial,
-        n_events=len(events),
         elapsed_seconds=elapsed,
         scenarios_per_second=throughput,
     )
@@ -253,39 +237,26 @@ def verify_decision_fixture(path: str | Path) -> tuple[int, list[str]]:
     rule reproduces every published label).
     """
     path = Path(path)
-    required = ("company", "event_period", "car", "percentile", "impact")
+    rows = read_csv_rows(path, ("company", "event_period", "car", "percentile", "impact"))
     valid_labels = {"Negative", "None", "Positive"}
     mismatches: list[str] = []
-    total = 0
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"{path}: cannot read file ({exc})") from exc
-    with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or any(col not in reader.fieldnames for col in required):
+    for line, record in rows:
+        expected = (record["impact"] or "").strip()
+        if expected not in valid_labels:
             raise DataFormatError(
-                f"{path}: header must contain {', '.join(required)}"
+                f"{path}: row {line}: impact must be one of {sorted(valid_labels)}, "
+                f"got {expected!r}"
             )
-        for record in reader:
-            line = reader.line_num
-            expected = (record["impact"] or "").strip()
-            if expected not in valid_labels:
-                raise DataFormatError(
-                    f"{path}: row {line}: impact must be one of {sorted(valid_labels)}, "
-                    f"got {expected!r}"
-                )
-            try:
-                car = float(record["car"])
-                percentile = float(record["percentile"])
-            except (TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}: row {line}: unparsable number") from exc
-            total += 1
+        try:
+            car = float(record["car"])
+            percentile = float(record["percentile"])
             computed = classify_impact(car, percentile).value
-            if computed != expected:
-                mismatches.append(
-                    f"row {line}: {record['company']} {record['event_period']}: "
-                    f"published {expected}, computed {computed} "
-                    f"(car={car}, percentile={percentile})"
-                )
-    return total, mismatches
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: row {line}: bad car or percentile ({exc})") from exc
+        if computed != expected:
+            mismatches.append(
+                f"row {line}: {record['company']} {record['event_period']}: "
+                f"published {expected}, computed {computed} "
+                f"(car={car}, percentile={percentile})"
+            )
+    return len(rows), mismatches

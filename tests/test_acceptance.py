@@ -22,8 +22,8 @@ from eventstudy.bootstrap import (
 )
 from eventstudy.config import load_run_config
 from eventstudy.inference import Impact
-from eventstudy.ingest import EventRecord, align
-from eventstudy.model import EstimationWindow, fit_market_model
+from eventstudy.ingest import AlignedReturns, EventRecord, align
+from eventstudy.model import fit_market_model
 from eventstudy.report import run, verify_decision_fixture
 
 from .conftest import (
@@ -105,7 +105,7 @@ def _forward_window(seed, alpha, beta, n=200, log_noise_sigma=0.0):
         log_stock = log_stock + log_noise_sigma * rng.standard_normal(n)
     from datetime import date
 
-    return EstimationWindow(
+    return AlignedReturns(
         trading_calendar(date(2013, 1, 7), n), np.expm1(log_stock), market
     )
 
@@ -201,7 +201,6 @@ def test_criterion_7_percentile_granularity(standard_run):
         n=n,
         min_car=-0.5,
         max_car=0.5,
-        spec=ScenarioSpec(draws_k=12, n_scenarios=n),
         references={-0.4: (10, 0)},
     )
     assert percentile_of(smallest, -0.4) == 0.0002

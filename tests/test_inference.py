@@ -79,8 +79,8 @@ class TestEventWindow:
         assert tuple(w.n_days for w in STANDARD_WINDOWS) == (2, 3, 5, 7, 12)
 
     def test_start_is_pinned_to_minus_one(self):
-        with pytest.raises(ValueError, match="start_offset"):
-            EventWindow(end_offset=5, start_offset=0)
+        with pytest.raises(ValueError, match="starts at 0"):
+            parse_window_label("[0,5]")
 
     def test_end_cannot_precede_start(self):
         with pytest.raises(ValueError, match="precedes"):

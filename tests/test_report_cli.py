@@ -378,13 +378,40 @@ class TestCli:
         assert code == 2
         assert "ambiguous" in capsys.readouterr().err
 
-    def test_histogram_bad_window_exit_two(self, universe, capsys):
+    @pytest.mark.parametrize(
+        ("label", "message"),
+        [("week", "unparsable window label"), ("[0,5]", "starts at 0")],
+        ids=["week", "start-0"],
+    )
+    def test_histogram_bad_window_exit_two(self, universe, capsys, label, message):
         code = main([
             "histogram", "--config", str(universe.config),
-            "--event", "acme", "--window", "week", "--out", "x.csv",
+            "--event", "acme", "--window", label, "--out", "x.csv",
         ])
         assert code == 2
-        assert "unparsable window label" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_run_block_mode_short_estimation_fails_every_event(self, universe, capsys):
+        with universe.config.open("a", encoding="utf-8") as handle:
+            handle.write("mode = block\nestimation_days = 8\n")
+        assert main(["run", "--config", str(universe.config)]) == 1
+        partial = universe.tmp / "report.csv.partial"
+        assert partial.read_text(encoding="utf-8") == ",".join(REPORT_COLUMNS) + "\n"
+        failures = capsys.readouterr().err.splitlines()
+        assert len(failures) == 2
+        assert all("estimation_days is 8" in line for line in failures)
+
+    def test_histogram_block_mode_short_estimation_exit_two(self, universe, capsys):
+        with universe.config.open("a", encoding="utf-8") as handle:
+            handle.write("mode = block\nestimation_days = 8\n")
+        code = main([
+            "histogram", "--config", str(universe.config),
+            "--event", "acme", "--window", "[-1,10]", "--out", str(universe.tmp / "h.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+        assert not (universe.tmp / "h.csv").exists()
 
     def test_verify_published_fixture_passes(self, capsys):
         fixture = FIXTURES_DIR / "table3_decision_rule.csv"
@@ -404,6 +431,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert "checked 175 rows: 1 mismatches" in captured.out
         assert "published Positive, computed None" in captured.err
+
+    @pytest.mark.parametrize(
+        ("header", "row", "message"),
+        [
+            ("company,event_period,car,percentile,impact", 'Acme,"[-1,0]",0.01,150,None',
+             "row 2: bad car or percentile (percentile must be in [0, 100], got 150.0)"),
+            ("company,event_period,car,percentile,impact", 'Acme,"[-1,0]",0.01,nan,None',
+             "row 2: bad car or percentile (percentile must be in [0, 100], got nan)"),
+            ("company,event_period,car,percentile", 'Acme,"[-1,0]",0.01,50',
+             "header is missing required column(s) impact"),
+        ],
+        ids=["percentile-150", "percentile-nan", "no-impact-column"],
+    )
+    def test_verify_bad_fixture_exit_one(self, tmp_path, capsys, header, row, message):
+        target = tmp_path / "bad.csv"
+        target.write_text(f"{header}\n{row}\n", encoding="utf-8")
+        assert main(["verify-table3", "--fixtures", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {target}: {message}\n"
 
     def test_verify_missing_fixture_exit_two(self, tmp_path, capsys):
         assert main(["verify-table3", "--fixtures", str(tmp_path / "nope.csv")]) == 2
