@@ -18,7 +18,7 @@ class DataFormatError(EventStudyError):
 
 
 class AlignmentError(EventStudyError):
-    """Two price series share too few trading days to build returns."""
+    """Two price series yield no usable returns on their shared trading days."""
 
 
 class HistoryError(EventStudyError):

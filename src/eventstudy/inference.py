@@ -1,10 +1,10 @@
 """Event windows, the percentile decision rule, and the per-event pipeline.
 
 An event window always opens one trading day before the announcement (to
-catch leakage) and closes 0, 1, 3, 5, or 10 days after it in a standard
-run.  For each window the pipeline compares the observed cumulative
-abnormal return against a resampled no-impact distribution of the same
-length and classifies the event:
+catch leakage) and closes 0, 1, 3, 5, or 10 days after it.  For each
+window the pipeline compares the observed cumulative abnormal return
+against a resampled no-impact distribution of the same length and
+classifies the event:
 
 * ``Negative`` — the CAR is below zero *and* sits below the low percentile
   threshold (default 10th).
@@ -21,9 +21,10 @@ import enum
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bootstrap import (
     DEFAULT_N_SCENARIOS,
-    GENERATOR,
     ScenarioDistribution,
     ScenarioSpec,
     cumulative_abnormal_return,
@@ -31,7 +32,7 @@ from .bootstrap import (
     generate_distribution,
     percentile_of,
 )
-from .errors import ConfigError, HistoryError
+from .errors import ConfigError
 from .ingest import AlignedReturns, EventRecord, PriceSeries, align, resolve_event_day
 from .model import (
     DEFAULT_ESTIMATION_DAYS,
@@ -50,10 +51,7 @@ __all__ = [
     "STANDARD_WINDOWS",
     "parse_window_label",
     "classify_impact",
-    "actual_window_car",
-    "additive_baseline",
     "StudySettings",
-    "Provenance",
     "EventResult",
     "run_event_study",
     "event_scenario_distribution",
@@ -66,9 +64,6 @@ class Impact(enum.Enum):
     NEGATIVE = "Negative"
     NONE = "None"
     POSITIVE = "Positive"
-
-    def __str__(self) -> str:  # report-friendly
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -145,39 +140,16 @@ def classify_impact(
     return Impact.NONE
 
 
-def _window_bounds(
+def _window_returns(
     aligned: AlignedReturns, event_index: int, window: EventWindow
-) -> tuple[int, int]:
-    lo = event_index - 1
-    hi = event_index + window.end_offset
-    if lo < 0 or hi >= len(aligned):
-        raise HistoryError(
-            f"window {window.label} around event index {event_index} extends "
-            f"beyond the available {len(aligned)} return days"
-        )
-    return lo, hi
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stock and market returns over one event window, from offset -1 to its end.
 
-
-def actual_window_car(
-    aligned: AlignedReturns, fit: ModelFit, event_index: int, window: EventWindow
-) -> float:
-    """Observed cumulative abnormal return over one event window."""
-    lo, hi = _window_bounds(aligned, event_index, window)
-    ars = abnormal_return(
-        aligned.stock_returns[lo : hi + 1], aligned.market_returns[lo : hi + 1], fit
-    )
-    return cumulative_abnormal_return(ars)
-
-
-def additive_baseline(
-    aligned: AlignedReturns, fit: AdditiveFit, event_index: int, window: EventWindow
-) -> float:
-    """Observed CAR under the additive comparison model (plain sum)."""
-    lo, hi = _window_bounds(aligned, event_index, window)
-    ars = additive_abnormal_return(
-        aligned.stock_returns[lo : hi + 1], aligned.market_returns[lo : hi + 1], fit
-    )
-    return float(ars.sum())
+    :func:`_prepare_event` places the event so that every window it was
+    asked for lies inside ``aligned``.
+    """
+    lo, hi = event_index - 1, event_index + window.end_offset + 1
+    return aligned.stock_returns[lo:hi], aligned.market_returns[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -208,20 +180,8 @@ class StudySettings:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """Everything needed to reproduce a result row bit for bit."""
-
-    seed: int
-    mode: str
-    n_scenarios: int
-    estimation_days: int
-    generator: str = GENERATOR
-    flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class EventResult:
-    """One event judged over one window."""
+    """One event judged over one window, with the settings that judged it."""
 
     event: EventRecord
     window: EventWindow
@@ -229,22 +189,7 @@ class EventResult:
     percentile: float
     impact: Impact
     car_additive: float
-    provenance: Provenance
-
-
-def _provenance(settings: StudySettings, window: EventWindow) -> Provenance:
-    flags: list[str] = []
-    if settings.estimation_days != DEFAULT_ESTIMATION_DAYS:
-        flags.append("nonstandard_estimation")
-    if window not in STANDARD_WINDOWS:
-        flags.append("nonstandard_window")
-    return Provenance(
-        seed=settings.seed,
-        mode=settings.mode,
-        n_scenarios=settings.n_scenarios,
-        estimation_days=settings.estimation_days,
-        flags=tuple(flags),
-    )
+    settings: StudySettings
 
 
 def _prepare_event(
@@ -252,15 +197,12 @@ def _prepare_event(
     stock: PriceSeries,
     market: PriceSeries,
     settings: StudySettings,
-    windows: tuple[EventWindow, ...],
+    longest: EventWindow,
 ) -> tuple[AlignedReturns, int, ModelFit, AdditiveFit]:
-    """Align, place the event, and fit both models — shared by all windows."""
-    if not windows:
-        raise ValueError("need at least one event window")
-    longest = max(w.n_days for w in windows)
-    if settings.mode == "block" and settings.estimation_days < longest:
+    """Align, place the event, and fit both models for every window up to ``longest``."""
+    if settings.mode == "block" and settings.estimation_days < longest.n_days:
         raise ConfigError(
-            f"block mode resamples runs of {longest} consecutive estimation days, "
+            f"block mode resamples runs of {longest.n_days} consecutive estimation days, "
             f"but estimation_days is {settings.estimation_days}"
         )
     aligned = align(stock, market)
@@ -268,7 +210,7 @@ def _prepare_event(
         event,
         aligned.dates,
         min_prior_days=settings.estimation_days + 1,
-        min_following_days=max(w.end_offset for w in windows),
+        min_following_days=longest.end_offset,
     )
     window_data = estimation_window(aligned, event_index, settings.estimation_days)
     return aligned, event_index, fit_market_model(window_data), fit_additive_model(window_data)
@@ -303,19 +245,21 @@ def run_event_study(
     stock: PriceSeries,
     market: PriceSeries,
     settings: StudySettings = StudySettings(),
-    windows: tuple[EventWindow, ...] = STANDARD_WINDOWS,
 ) -> list[EventResult]:
-    """Judge one event over every window; all results or an exception.
+    """Judge one event over the five standard windows; all results or an exception.
 
     Each window gets its own scenario distribution, seeded independently
-    from (root seed, event key, window label), so adding or removing
-    windows never perturbs the others' randomness.  Any failure raises —
-    a partial result list is never returned.
+    from (root seed, event key, window label), so
+    :func:`event_scenario_distribution` reproduces any one window's numbers
+    on its own.  Any failure raises — a partial result list is never returned.
     """
-    aligned, event_index, fit, fit_add = _prepare_event(event, stock, market, settings, windows)
+    aligned, event_index, fit, fit_add = _prepare_event(
+        event, stock, market, settings, STANDARD_WINDOWS[-1]
+    )
     results: list[EventResult] = []
-    for window in windows:
-        car = actual_window_car(aligned, fit, event_index, window)
+    for window in STANDARD_WINDOWS:
+        stock_returns, market_returns = _window_returns(aligned, event_index, window)
+        car = cumulative_abnormal_return(abnormal_return(stock_returns, market_returns, fit))
         distribution = _window_distribution(fit, car, event, window, settings)
         percentile = percentile_of(distribution, car)
         results.append(
@@ -327,8 +271,10 @@ def run_event_study(
                 impact=classify_impact(
                     car, percentile, settings.threshold_lo, settings.threshold_hi
                 ),
-                car_additive=additive_baseline(aligned, fit_add, event_index, window),
-                provenance=_provenance(settings, window),
+                car_additive=float(
+                    additive_abnormal_return(stock_returns, market_returns, fit_add).sum()
+                ),
+                settings=settings,
             )
         )
     return results
@@ -348,6 +294,8 @@ def event_scenario_distribution(
     Uses the same seed derivation as :func:`run_event_study`, so the
     distribution examined here is the one the study actually used.
     """
-    aligned, event_index, fit, _ = _prepare_event(event, stock, market, settings, (window,))
-    car = actual_window_car(aligned, fit, event_index, window)
+    aligned, event_index, fit, _ = _prepare_event(event, stock, market, settings, window)
+    car = cumulative_abnormal_return(
+        abnormal_return(*_window_returns(aligned, event_index, window), fit)
+    )
     return _window_distribution(fit, car, event, window, settings, histogram_bins), car

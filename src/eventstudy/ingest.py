@@ -224,7 +224,8 @@ def align(stock: PriceSeries, market: PriceSeries) -> AlignedReturns:
 
     Prices on days only one series has are dropped before differencing, so
     each return spans consecutive *shared* days for both legs.  Raises
-    :class:`AlignmentError` if fewer than two shared days remain.
+    :class:`AlignmentError` if fewer than two shared days remain, or if a
+    price ratio is so extreme that a return is not finite or not above -1.
     """
     common = sorted(set(stock.dates) & set(market.dates))
     if len(common) < 2:
@@ -233,14 +234,21 @@ def align(stock: PriceSeries, market: PriceSeries) -> AlignedReturns:
             f"{market.instrument_id!r}: need at least 2 shared trading days, "
             f"got {len(common)}"
         )
-    stock_by_day = dict(zip(stock.dates, stock.prices.tolist()))
-    market_by_day = dict(zip(market.dates, market.prices.tolist()))
-    stock_prices = np.array([stock_by_day[day] for day in common], dtype=np.float64)
-    market_prices = np.array([market_by_day[day] for day in common], dtype=np.float64)
+    returns = []
+    for series in (stock, market):
+        by_day = dict(zip(series.dates, series.prices.tolist()))
+        prices = np.array([by_day[day] for day in common], dtype=np.float64)
+        with np.errstate(over="ignore"):
+            leg = prices[1:] / prices[:-1] - 1.0
+        bad = np.flatnonzero(~np.isfinite(leg) | (leg <= -1.0))
+        if bad.size:
+            raise AlignmentError(
+                f"{series.instrument_id!r}: the return on {common[bad[0] + 1].isoformat()} "
+                f"is {leg[bad[0]]}; a price ratio that extreme leaves no usable gross return"
+            )
+        returns.append(leg)
     return AlignedReturns(
-        dates=tuple(common[1:]),
-        stock_returns=stock_prices[1:] / stock_prices[:-1] - 1.0,
-        market_returns=market_prices[1:] / market_prices[:-1] - 1.0,
+        dates=tuple(common[1:]), stock_returns=returns[0], market_returns=returns[1]
     )
 
 
@@ -248,8 +256,8 @@ def resolve_event_day(
     event: EventRecord,
     calendar: tuple[date, ...],
     *,
-    min_prior_days: int = 201,
-    min_following_days: int = 10,
+    min_prior_days: int,
+    min_following_days: int,
 ) -> int:
     """Map an announcement date to its index on a trading calendar.
 

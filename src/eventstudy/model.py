@@ -41,7 +41,7 @@ DEFAULT_ESTIMATION_DAYS = 200
 
 
 def estimation_window(
-    aligned: AlignedReturns, event_index: int, days: int = DEFAULT_ESTIMATION_DAYS
+    aligned: AlignedReturns, event_index: int, days: int
 ) -> AlignedReturns:
     """Cut the ``days`` return days ending two days before the event.
 

@@ -26,11 +26,12 @@ import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .bootstrap import ScenarioDistribution
+from .bootstrap import GENERATOR, ScenarioDistribution
 from .config import RunConfig
 from .errors import ConfigError, DataFormatError, EventStudyError
 from .inference import EventResult, classify_impact, run_event_study
 from .ingest import load_event_registry, load_price_series, read_csv_rows
+from .model import DEFAULT_ESTIMATION_DAYS
 
 __all__ = [
     "REPORT_COLUMNS",
@@ -66,8 +67,7 @@ class ReportRow:
 
     @classmethod
     def from_result(cls, result: EventResult) -> ReportRow:
-        event = result.event
-        prov = result.provenance
+        event, settings = result.event, result.settings
         return cls(
             company=event.label or event.instrument_id,
             event_period=result.window.label,
@@ -77,12 +77,16 @@ class ReportRow:
             car_additive=result.car_additive,
             instrument_id=event.instrument_id,
             announcement_date=event.announcement_date.isoformat(),
-            seed=prov.seed,
-            mode=prov.mode,
-            n_scenarios=prov.n_scenarios,
-            estimation_days=prov.estimation_days,
-            generator=prov.generator,
-            flags=";".join(prov.flags),
+            seed=settings.seed,
+            mode=settings.mode,
+            n_scenarios=settings.n_scenarios,
+            estimation_days=settings.estimation_days,
+            generator=GENERATOR,
+            flags=(
+                "nonstandard_estimation"
+                if settings.estimation_days != DEFAULT_ESTIMATION_DAYS
+                else ""
+            ),
         )
 
 
@@ -121,7 +125,6 @@ class RunOutcome:
     rows: list[ReportRow]
     errors: list[tuple[str, str]]
     report_path: Path
-    wrote_partial: bool
     elapsed_seconds: float
     scenarios_per_second: float | None
 
@@ -180,10 +183,9 @@ def run(config: RunConfig) -> RunOutcome:
         rows.extend(ReportRow.from_result(result) for result in results)
         logger.info("judged %s over %d windows", event.key, len(results))
 
-    wrote_partial = bool(errors)
     partial_path = Path(f"{config.output}.partial")
     report_path, stale_path = (
-        (partial_path, config.output) if wrote_partial else (config.output, partial_path)
+        (partial_path, config.output) if errors else (config.output, partial_path)
     )
     content = render_csv(rows) if config.format == "csv" else render_json(rows)
     _write_atomically(report_path, content)
@@ -204,7 +206,6 @@ def run(config: RunConfig) -> RunOutcome:
         rows=rows,
         errors=errors,
         report_path=report_path,
-        wrote_partial=wrote_partial,
         elapsed_seconds=elapsed,
         scenarios_per_second=throughput,
     )

@@ -192,7 +192,7 @@ def test_criterion_7_percentile_granularity(standard_run):
     results, _ = standard_run
     n = 5_000_000
     for result in results:
-        assert result.provenance.n_scenarios == n
+        assert result.settings.n_scenarios == n
         scaled = result.percentile * 1e5  # midrank steps: 100 / (2n) = 1e-5
         assert result.percentile == round(scaled) / 1e5
         assert float(f"{result.percentile:.5f}") == result.percentile

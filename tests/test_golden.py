@@ -3,7 +3,7 @@
 Every report is a pure function of its inputs and settings, so its SHA-256
 pins the whole pipeline — fit, seed derivation, generator stream, midrank
 percentile and rendering — at once.  A change that alters any of these
-must bump ``Provenance.generator`` and update the hashes below on purpose.
+must bump ``bootstrap.GENERATOR`` and update the hashes below on purpose.
 
 The scenario count spans two generator chunks, so ``workers=2`` really runs
 chunks on both threads.
@@ -74,7 +74,7 @@ def test_report_bytes_are_pinned(golden_universe, mode, fmt, workers):
     outcome = run(load_run_config(config, {
         "mode": mode, "format": fmt, "workers": str(workers), "output": str(output),
     }))
-    assert not outcome.wrote_partial
+    assert outcome.errors == []
     assert {row.generator for row in outcome.rows} == {"philox4x64-u32"}
     assert _sha256(output) == REPORT_SHA256[mode, fmt]
 

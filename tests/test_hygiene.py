@@ -1,0 +1,68 @@
+"""Source hygiene: no leftover imports, no ``__all__`` entry without a definition.
+
+A static check over ``src/eventstudy/*.py`` with the standard ``ast`` module,
+so a deletion that leaves an import or an export behind fails here.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "eventstudy").glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return [element.value for element in node.value.elts]
+    return []
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Every name an import binds, with its line; ``__future__`` imports excluded."""
+    names: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names bound at module level: definitions, assignments and imports."""
+    names = set(_imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(_exported(tree))
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_export_is_defined(path):
+    tree = _tree(path)
+    missing = sorted(set(_exported(tree)) - _defined(tree))
+    assert not missing, f"{path.name}: __all__ names with no definition {missing}"

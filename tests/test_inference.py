@@ -16,6 +16,7 @@ from eventstudy.inference import (
     parse_window_label,
 )
 from eventstudy.ingest import EventRecord, PriceSeries, align
+from eventstudy.report import ReportRow
 
 from .conftest import stock_from_market, synthetic_market
 
@@ -42,6 +43,7 @@ class TestClassifyImpact:
             (0.135604103, 97.36842, Impact.POSITIVE),
             (0.000824461, 51.7293, Impact.NONE),
         ],
+        ids=lambda value: getattr(value, "value", None),  # an Impact by its label
     )
     def test_published_triples(self, car, percentile, expected):
         assert classify_impact(car, percentile) is expected
@@ -130,12 +132,12 @@ class TestRunEventStudy:
         for result in results:
             assert 0.0 <= result.percentile <= 100.0
             assert isinstance(result.impact, Impact)
-            assert result.provenance.seed == FAST.seed
-            assert result.provenance.mode == "iid"
-            assert result.provenance.n_scenarios == FAST.n_scenarios
-            assert result.provenance.estimation_days == 200
-            assert result.provenance.generator == "philox4x64-u32"
-            assert result.provenance.flags == ()
+            assert result.settings == FAST
+            assert result.settings.mode == "iid"
+            assert result.settings.estimation_days == 200
+            row = ReportRow.from_result(result)
+            assert row.generator == "philox4x64-u32"
+            assert row.flags == ""
 
     def test_rerun_is_bit_identical(self, market):
         stock = stock_from_market(market)
@@ -147,13 +149,14 @@ class TestRunEventStudy:
         ]
 
     def test_windows_are_independent_streams(self, market):
-        # Judging a subset of windows reproduces exactly the same numbers
-        # as the full run: each window has its own derived seed.
+        # Each window alone reproduces exactly the numbers of the full run:
+        # every window has its own derived seed.
         stock = stock_from_market(market)
         event = _event_for(market)
         full = run_event_study(event, stock, market, FAST)
-        subset = run_event_study(event, stock, market, FAST, windows=(STANDARD_WINDOWS[2],))
-        assert (subset[0].car, subset[0].percentile) == (full[2].car, full[2].percentile)
+        for result in full:
+            dist, car = event_scenario_distribution(event, stock, market, result.window, FAST)
+            assert (car, percentile_of(dist, car)) == (result.car, result.percentile)
 
     def test_negative_shock_is_flagged(self, market):
         stock = stock_from_market(
@@ -185,11 +188,8 @@ class TestRunEventStudy:
         stock_prices[EVENT_INDEX + 1] = stock_prices[EVENT_INDEX] * 1.1
         stock_prices[EVENT_INDEX + 2] = stock_prices[EVENT_INDEX + 1] * 0.9
         stock = PriceSeries("stock", market.dates, stock_prices)
-        results = run_event_study(
-            _event_for(market_flat), stock, market_flat, FAST,
-            windows=(EventWindow(1),),
-        )
-        result = results[0]
+        results = run_event_study(_event_for(market_flat), stock, market_flat, FAST)
+        result = next(r for r in results if r.window == EventWindow(1))
         assert result.car == pytest.approx(-0.01, abs=1e-9)
         assert result.car_additive == pytest.approx(0.0, abs=1e-9)
 
@@ -200,18 +200,11 @@ class TestRunEventStudy:
         with pytest.raises(HistoryError, match="after the event"):
             run_event_study(late_event, stock, market, FAST)
 
-    def test_no_windows_rejected(self, market):
-        stock = stock_from_market(market)
-        with pytest.raises(ValueError, match="at least one event window"):
-            run_event_study(_event_for(market), stock, market, FAST, windows=())
-
     def test_nonstandard_settings_are_flagged(self, market):
         stock = stock_from_market(market)
         settings = StudySettings(n_scenarios=4_000, seed=1, estimation_days=150)
-        results = run_event_study(
-            _event_for(market), stock, market, settings, windows=(EventWindow(2),)
-        )
-        assert results[0].provenance.flags == ("nonstandard_estimation", "nonstandard_window")
+        results = run_event_study(_event_for(market), stock, market, settings)
+        assert {ReportRow.from_result(r).flags for r in results} == {"nonstandard_estimation"}
 
 
 class TestEventScenarioDistribution:

@@ -87,6 +87,16 @@ def _read_csv(path):
         return list(csv.DictReader(handle))
 
 
+def _give_acme_a_tiny_close(universe):
+    """Set one acme close to 1e-310: positive and finite, but its price ratios overflow."""
+    path = universe.price_dir / "acme.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    day = lines[100].split(",")[0]
+    lines[100] = f"{day},1e-310"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return day
+
+
 class TestLoadRunConfig:
     def test_relative_paths_resolve_against_config_dir(self, universe):
         config = load_run_config(universe.config)
@@ -164,7 +174,6 @@ class TestLoadRunConfig:
 class TestRun:
     def test_writes_complete_csv_report(self, universe):
         outcome = run(load_run_config(universe.config))
-        assert not outcome.wrote_partial
         assert outcome.errors == []
         assert outcome.report_path == universe.tmp / "report.csv"
         rows = _read_csv(outcome.report_path)
@@ -214,7 +223,6 @@ class TestRun:
         ]
         write_events_csv(universe.events_file, rows)
         outcome = run(load_run_config(universe.config))
-        assert outcome.wrote_partial
         assert outcome.report_path == universe.tmp / "report.csv.partial"
         assert len(outcome.rows) == 10  # the two good events still complete
         assert len(outcome.errors) == 1
@@ -242,7 +250,6 @@ class TestRun:
         with caplog.at_level("WARNING"):
             outcome = run(load_run_config(universe.config))
         assert outcome.rows == [] and outcome.errors == []
-        assert not outcome.wrote_partial
         content = outcome.report_path.read_text(encoding="utf-8")
         assert content == ",".join(REPORT_COLUMNS) + "\n"
         assert any("empty" in record.message for record in caplog.records)
@@ -411,6 +418,25 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+        assert not (universe.tmp / "h.csv").exists()
+
+    def test_run_extreme_price_fails_only_its_event(self, universe, capsys):
+        day = _give_acme_a_tiny_close(universe)
+        assert main(["run", "--config", str(universe.config)]) == 1
+        rows = _read_csv(universe.tmp / "report.csv.partial")
+        assert [r["instrument_id"] for r in rows] == ["bravo"] * 5
+        assert not (universe.tmp / "report.csv").exists()
+        err = capsys.readouterr().err
+        assert f"failed acme@{universe.event_day}: 'acme': the return on {day}" in err
+
+    def test_histogram_extreme_price_exit_one(self, universe, capsys):
+        day = _give_acme_a_tiny_close(universe)
+        code = main([
+            "histogram", "--config", str(universe.config),
+            "--event", "acme", "--window", "[-1,0]", "--out", str(universe.tmp / "h.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: 'acme': the return on {day}")
         assert not (universe.tmp / "h.csv").exists()
 
     def test_verify_published_fixture_passes(self, capsys):
