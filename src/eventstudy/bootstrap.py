@@ -132,8 +132,8 @@ class ScenarioDistribution:
     The raw CARs are gone by the time this object exists; what remains is
     exact: ``n``, the observed ``min_car``/``max_car``, and precise
     below/equal counts for every reference value registered when the
-    distribution was generated.  Asking about an unregistered value strictly
-    inside the observed range raises ``KeyError`` rather than guessing.
+    distribution was generated.  Asking about an unregistered value raises
+    ``KeyError`` rather than guessing.
     """
 
     n: int
@@ -152,32 +152,17 @@ class ScenarioDistribution:
                 raise ValueError(f"impossible counts for reference {value}")
 
     def count_below(self, value: float) -> int:
-        """Exact number of generated CARs strictly below ``value``."""
-        v = float(value)
-        if v in self.references:
-            return self.references[v][0]
-        if v <= self.min_car:
-            return 0
-        if v > self.max_car:
-            return self.n
-        raise KeyError(
-            f"{v!r} was not registered as a reference value when this "
-            f"distribution was generated"
-        )
+        """Exact number of generated CARs strictly below a registered ``value``."""
+        return self._registered(value)[0]
 
     def count_equal(self, value: float) -> int:
-        """Exact number of generated CARs equal to ``value``."""
-        v = float(value)
-        if v in self.references:
-            return self.references[v][1]
-        if v < self.min_car or v > self.max_car:
-            return 0
-        if self.min_car == self.max_car:  # degenerate: every CAR is min_car
-            return self.n if v == self.min_car else 0
-        raise KeyError(
-            f"{v!r} was not registered as a reference value when this "
-            f"distribution was generated"
-        )
+        """Exact number of generated CARs equal to a registered ``value``."""
+        return self._registered(value)[1]
+
+    def _registered(self, value: float) -> tuple[int, int]:
+        if float(value) not in self.references:
+            raise KeyError(f"{value!r} was not registered when this distribution was generated")
+        return self.references[float(value)]
 
 
 def cumulative_abnormal_return(abnormal_returns: Iterable[float] | np.ndarray) -> float:
@@ -190,10 +175,8 @@ def cumulative_abnormal_return(abnormal_returns: Iterable[float] | np.ndarray) -
     arr = np.asarray(abnormal_returns, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("empty window: need at least one abnormal return")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("abnormal returns must be finite")
-    if np.any(arr <= -1.0):
-        raise ValueError("abnormal return <= -1 leaves no value to compound")
+    if not np.all(np.isfinite(arr) & (arr > -1.0)):
+        raise ValueError("abnormal returns must be finite; one <= -1 leaves no value to compound")
     return float(np.prod(1.0 + arr) - 1.0)
 
 
@@ -280,10 +263,8 @@ def generate_distribution(
     pool_arr = np.asarray(pool, dtype=np.float64)
     if pool_arr.size == 0:
         raise ValueError("empty abnormal-return pool")
-    if not np.all(np.isfinite(pool_arr)):
-        raise ValueError("abnormal-return pool must be finite")
-    if np.any(pool_arr <= -1.0):
-        raise ValueError("abnormal-return pool contains a value <= -1")
+    if not np.all(np.isfinite(pool_arr) & (pool_arr > -1.0)):
+        raise ValueError("abnormal-return pool must be finite with no value <= -1")
     if spec.mode == "block" and pool_arr.size < spec.draws_k:
         raise ValueError(
             f"pool of {pool_arr.size} days is too short for consecutive "

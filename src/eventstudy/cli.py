@@ -94,6 +94,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_histogram(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, _overrides(args))
+    config.check_inputs()
     try:
         window = parse_window_label(args.window)
     except ValueError as exc:

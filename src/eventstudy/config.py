@@ -42,6 +42,14 @@ class RunConfig:
         if self.format not in _FORMATS:
             raise ConfigError(f"format must be one of {', '.join(_FORMATS)}, got {self.format!r}")
 
+    def check_inputs(self) -> None:
+        """Raise :class:`ConfigError` unless ``price_dir`` and both input files exist."""
+        if not self.price_dir.is_dir():
+            raise ConfigError(f"price_dir {self.price_dir} is not a directory")
+        for name in ("market_file", "events_file"):
+            if not getattr(self, name).is_file():
+                raise ConfigError(f"{name} {getattr(self, name)} does not exist")
+
     def price_file(self, instrument_id: str) -> Path:
         """The price history of one instrument: ``<price_dir>/<instrument_id>.csv``."""
         return self.price_dir / f"{instrument_id}.csv"

@@ -33,11 +33,9 @@ from .bootstrap import (
     percentile_of,
 )
 from .errors import ConfigError
-from .ingest import AlignedReturns, EventRecord, PriceSeries, align, resolve_event_day
+from .ingest import EventRecord, PriceSeries, align, resolve_event_day
 from .model import (
     DEFAULT_ESTIMATION_DAYS,
-    AdditiveFit,
-    ModelFit,
     abnormal_return,
     additive_abnormal_return,
     estimation_window,
@@ -140,18 +138,6 @@ def classify_impact(
     return Impact.NONE
 
 
-def _window_returns(
-    aligned: AlignedReturns, event_index: int, window: EventWindow
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stock and market returns over one event window, from offset -1 to its end.
-
-    :func:`_prepare_event` places the event so that every window it was
-    asked for lies inside ``aligned``.
-    """
-    lo, hi = event_index - 1, event_index + window.end_offset + 1
-    return aligned.stock_returns[lo:hi], aligned.market_returns[lo:hi]
-
-
 @dataclass(frozen=True)
 class StudySettings:
     """Tunable knobs of a study, with standard-run defaults."""
@@ -198,8 +184,13 @@ def _prepare_event(
     market: PriceSeries,
     settings: StudySettings,
     longest: EventWindow,
-) -> tuple[AlignedReturns, int, ModelFit, AdditiveFit]:
-    """Align, place the event, and fit both models for every window up to ``longest``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Align, place the event, and fit both models for every window up to ``longest``.
+
+    Returns the estimation pool and both models' abnormal returns from
+    offset -1 to the end of ``longest``.  Every window opens at -1, so a
+    window's returns are the first ``window.n_days`` of these.
+    """
     if settings.mode == "block" and settings.estimation_days < longest.n_days:
         raise ConfigError(
             f"block mode resamples runs of {longest.n_days} consecutive estimation days, "
@@ -212,12 +203,19 @@ def _prepare_event(
         min_prior_days=settings.estimation_days + 1,
         min_following_days=longest.end_offset,
     )
-    window_data = estimation_window(aligned, event_index, settings.estimation_days)
-    return aligned, event_index, fit_market_model(window_data), fit_additive_model(window_data)
+    estimation = estimation_window(aligned, event_index, settings.estimation_days)
+    fit = fit_market_model(estimation)
+    days = slice(event_index - 1, event_index + longest.end_offset + 1)
+    stock_returns, market_returns = aligned.stock_returns[days], aligned.market_returns[days]
+    return (
+        abnormal_return(estimation.stock_returns, estimation.market_returns, fit),
+        abnormal_return(stock_returns, market_returns, fit),
+        additive_abnormal_return(stock_returns, market_returns, fit_additive_model(estimation)),
+    )
 
 
 def _window_distribution(
-    fit: ModelFit,
+    pool: np.ndarray,
     car: float,
     event: EventRecord,
     window: EventWindow,
@@ -232,11 +230,7 @@ def _window_distribution(
         mode=settings.mode,
     )
     return generate_distribution(
-        fit.abnormal_returns,
-        spec,
-        references=(car,),
-        histogram_bins=histogram_bins,
-        workers=settings.workers,
+        pool, spec, references=(car,), histogram_bins=histogram_bins, workers=settings.workers
     )
 
 
@@ -253,14 +247,13 @@ def run_event_study(
     :func:`event_scenario_distribution` reproduces any one window's numbers
     on its own.  Any failure raises — a partial result list is never returned.
     """
-    aligned, event_index, fit, fit_add = _prepare_event(
+    pool, abnormal, additive = _prepare_event(
         event, stock, market, settings, STANDARD_WINDOWS[-1]
     )
     results: list[EventResult] = []
     for window in STANDARD_WINDOWS:
-        stock_returns, market_returns = _window_returns(aligned, event_index, window)
-        car = cumulative_abnormal_return(abnormal_return(stock_returns, market_returns, fit))
-        distribution = _window_distribution(fit, car, event, window, settings)
+        car = cumulative_abnormal_return(abnormal[: window.n_days])
+        distribution = _window_distribution(pool, car, event, window, settings)
         percentile = percentile_of(distribution, car)
         results.append(
             EventResult(
@@ -271,9 +264,7 @@ def run_event_study(
                 impact=classify_impact(
                     car, percentile, settings.threshold_lo, settings.threshold_hi
                 ),
-                car_additive=float(
-                    additive_abnormal_return(stock_returns, market_returns, fit_add).sum()
-                ),
+                car_additive=float(additive[: window.n_days].sum()),
                 settings=settings,
             )
         )
@@ -294,8 +285,6 @@ def event_scenario_distribution(
     Uses the same seed derivation as :func:`run_event_study`, so the
     distribution examined here is the one the study actually used.
     """
-    aligned, event_index, fit, _ = _prepare_event(event, stock, market, settings, window)
-    car = cumulative_abnormal_return(
-        abnormal_return(*_window_returns(aligned, event_index, window), fit)
-    )
-    return _window_distribution(fit, car, event, window, settings, histogram_bins), car
+    pool, abnormal, _ = _prepare_event(event, stock, market, settings, window)
+    car = cumulative_abnormal_return(abnormal)
+    return _window_distribution(pool, car, event, window, settings, histogram_bins), car

@@ -18,7 +18,7 @@ multiplicative model exists to capture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
@@ -67,25 +67,12 @@ def estimation_window(
 
 @dataclass(frozen=True)
 class ModelFit:
-    """A fitted multiplicative market model plus its estimation residuals.
-
-    ``abnormal_returns`` holds the one-day abnormal returns over the
-    estimation window itself — the empirical pool later resampled into
-    synthetic multi-day scenarios.
-    """
+    """A fitted multiplicative market model."""
 
     alpha: float
     beta: float
     log_alpha: float
     beta_stderr: float
-    abnormal_returns: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "abnormal_returns", np.asarray(self.abnormal_returns, dtype=np.float64)
-        )
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -128,18 +115,7 @@ def fit_market_model(window: AlignedReturns) -> ModelFit:
     residuals = y - (log_alpha + beta * x)
     dof = len(window) - 2
     beta_stderr = sqrt(float(residuals @ residuals) / dof / s_xx)
-
-    # Same arithmetic as abnormal_return(); inlined because the fit object
-    # does not exist yet.
-    pool = (1.0 + window.stock_returns) / (alpha * gross_market_pow) - 1.0
-
-    return ModelFit(
-        alpha=alpha,
-        beta=beta,
-        log_alpha=log_alpha,
-        beta_stderr=beta_stderr,
-        abnormal_returns=pool,
-    )
+    return ModelFit(alpha=alpha, beta=beta, log_alpha=log_alpha, beta_stderr=beta_stderr)
 
 
 def fit_additive_model(window: AlignedReturns) -> AdditiveFit:
@@ -166,18 +142,26 @@ def abnormal_return(
     market_returns: float | np.ndarray,
     fit: ModelFit,
 ) -> float | np.ndarray:
-    """One-day abnormal return(s) under a multiplicative fit.
+    """One-day abnormal return(s) under a multiplicative fit: the one definition.
 
     The realised gross return is divided by the model's predicted gross
     return; the abnormal return is that ratio minus one.  Accepts scalars
-    or arrays (elementwise).
+    or arrays (elementwise).  A result that is not finite or not above -1
+    (a total loss, an ``alpha`` of 0 or infinity, an overflowing
+    ``(1 + r_m) ** beta``) is a day the fitted model cannot price, and
+    raises :class:`DegenerateModelError`.
     """
     stock = np.asarray(stock_returns, dtype=np.float64)
     market = np.asarray(market_returns, dtype=np.float64)
-    if np.any(stock <= -1.0) or np.any(market <= -1.0):
-        raise ValueError("returns must be greater than -1")
-    predicted_gross = fit.alpha * np.power(1.0 + market, fit.beta)
-    return (1.0 + stock) / predicted_gross - 1.0
+    with np.errstate(all="ignore"):
+        abnormal = (1.0 + stock) / (fit.alpha * np.power(1.0 + market, fit.beta)) - 1.0
+    usable = np.isfinite(abnormal) & (abnormal > -1.0)
+    if not usable.all():
+        raise DegenerateModelError(
+            f"the fitted model (alpha={fit.alpha!r}, beta={fit.beta!r}) cannot price a day: "
+            f"abnormal return {np.asarray(abnormal)[~usable][0]!r} is not a finite value above -1"
+        )
+    return abnormal
 
 
 def additive_abnormal_return(

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .bootstrap import GENERATOR, ScenarioDistribution
 from .config import RunConfig
-from .errors import ConfigError, DataFormatError, EventStudyError
+from .errors import DataFormatError, EventStudyError
 from .inference import EventResult, classify_impact, run_event_study
 from .ingest import load_event_registry, load_price_series, read_csv_rows
 from .model import DEFAULT_ESTIMATION_DAYS
@@ -154,12 +154,7 @@ def run(config: RunConfig) -> RunOutcome:
     recorded in the outcome instead and flips the report to ``.partial``.
     """
     started = time.perf_counter()
-    if not config.price_dir.is_dir():
-        raise ConfigError(f"price_dir {config.price_dir} is not a directory")
-    for name in ("market_file", "events_file"):
-        target = getattr(config, name)
-        if not target.is_file():
-            raise ConfigError(f"{name} {target} does not exist")
+    config.check_inputs()
 
     events = load_event_registry(config.events_file)
     if not events:

@@ -263,10 +263,6 @@ class TestDistributionQueries:
         below, equal = dist.references[ref]
         assert dist.count_below(ref) == below
         assert dist.count_equal(ref) == equal
-        assert dist.count_below(dist.min_car - 1e-9) == 0
-        assert dist.count_equal(dist.min_car - 1e-9) == 0
-        assert dist.count_below(dist.max_car + 1e-9) == dist.n
-        assert dist.count_equal(dist.max_car + 1e-9) == 0
 
     def test_unregistered_interior_value_raises(self, pool):
         spec = ScenarioSpec(draws_k=2, n_scenarios=5_000, seed=3)
@@ -274,6 +270,11 @@ class TestDistributionQueries:
         midpoint = (dist.min_car + dist.max_car) / 2
         with pytest.raises(KeyError, match="not registered"):
             dist.count_below(midpoint)
+        for outside in (dist.min_car - 1e-9, dist.max_car + 1e-9):
+            with pytest.raises(KeyError, match="not registered"):
+                dist.count_below(outside)
+            with pytest.raises(KeyError, match="not registered"):
+                dist.count_equal(outside)
 
     def test_constant_pool_collapses(self):
         spec = ScenarioSpec(draws_k=3, n_scenarios=1_000, seed=1)
@@ -296,9 +297,11 @@ class TestPercentile:
 
     def test_extremes(self, pool):
         spec = ScenarioSpec(draws_k=2, n_scenarios=1_000, seed=13)
-        dist = generate_distribution(pool, spec)
-        assert percentile_of(dist, dist.min_car - 1.0) == 0.0
-        assert percentile_of(dist, dist.max_car + 1.0) == 100.0
+        first = generate_distribution(pool, spec)
+        low, high = first.min_car - 1.0, first.max_car + 1.0
+        dist = generate_distribution(pool, spec, references=(low, high))
+        assert percentile_of(dist, low) == 0.0
+        assert percentile_of(dist, high) == 100.0
 
     def test_monotone_in_value(self, pool):
         spec = ScenarioSpec(draws_k=3, n_scenarios=20_000, seed=29)

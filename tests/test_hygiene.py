@@ -1,7 +1,9 @@
-"""Source hygiene: no leftover imports, no ``__all__`` entry without a definition.
+"""Source hygiene: no leftover imports, no ``__all__`` entry without a definition,
+no unreferenced private helper.
 
 A static check over ``src/eventstudy/*.py`` with the standard ``ast`` module,
-so a deletion that leaves an import or an export behind fails here.
+so a deletion that leaves an import, an export or a private helper behind
+fails here.
 """
 
 from __future__ import annotations
@@ -66,3 +68,19 @@ def test_every_export_is_defined(path):
     tree = _tree(path)
     missing = sorted(set(_exported(tree)) - _defined(tree))
     assert not missing, f"{path.name}: __all__ names with no definition {missing}"
+
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_private_name_is_referenced(path):
+    tree = _tree(path)
+    private = {
+        name for name in _defined(tree) - set(_imported(tree))
+        if name.startswith("_") and not name.startswith("__")
+    }
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    stale = sorted(private - read)
+    assert not stale, f"{path.name}: module-level private names never referenced {stale}"

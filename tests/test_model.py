@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from datetime import date
 
 import numpy as np
@@ -88,13 +89,6 @@ class TestFitMarketModel:
             observed = (1.0 + window.stock_returns).sum()
             assert fitted.sum() == pytest.approx(observed, rel=1e-12)
 
-    def test_pool_matches_abnormal_return_bitwise(self):
-        window = _random_window(seed=8)
-        fit = fit_market_model(window)
-        recomputed = abnormal_return(window.stock_returns, window.market_returns, fit)
-        assert np.array_equal(fit.abnormal_returns, recomputed)
-        assert fit.abnormal_returns.size == len(window)
-
     def test_constant_market_is_degenerate(self):
         window = _window([0.01, -0.02, 0.005, 0.01], [0.002, 0.002, 0.002, 0.002])
         with pytest.raises(DegenerateModelError, match="degenerate regressor"):
@@ -161,13 +155,24 @@ class TestAbnormalReturn:
 
     def test_rejects_total_loss(self):
         fit = fit_market_model(_random_window(seed=32))
-        with pytest.raises(ValueError, match="greater than -1"):
+        with pytest.raises(DegenerateModelError, match="cannot price"):
             abnormal_return(-1.0, 0.01, fit)
+
+    def test_overflowing_prediction_is_degenerate(self):
+        # (1 + r_m) ** beta overflows to infinity: the predicted gross return
+        # is unusable, so the day cannot be priced.
+        fit = fit_market_model(_random_window(seed=34))
+        assert fit.beta > 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow itself stays silent
+            with pytest.raises(DegenerateModelError, match="cannot price"):
+                abnormal_return(np.array([0.01, 0.02]), np.array([0.01, 1e300]), fit)
 
     def test_gross_abnormal_return_stays_positive(self):
         window = _random_window(seed=33, noise=0.05)
         fit = fit_market_model(window)
-        assert np.all(fit.abnormal_returns > -1.0)
+        pool = abnormal_return(window.stock_returns, window.market_returns, fit)
+        assert np.all(pool > -1.0)
 
 
 class TestEstimationWindow:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import shutil
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from eventstudy.cli import main
 from eventstudy.config import load_run_config
 from eventstudy.errors import ConfigError
 from eventstudy.inference import classify_impact
-from eventstudy.ingest import align
+from eventstudy.ingest import PriceSeries, align
 from eventstudy.bootstrap import ScenarioSpec, generate_distribution
 from eventstudy.report import REPORT_COLUMNS, emit_histogram, run
 
@@ -95,6 +96,26 @@ def _give_acme_a_tiny_close(universe):
     lines[100] = f"{day},1e-310"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return day
+
+
+def _lift_the_market_inside_bravos_windows(universe):
+    """Move bravo's event to aligned day 260 and multiply every market close
+    from aligned day 262 on by 1e298.
+
+    Every price stays positive and finite, so alignment succeeds, but the
+    market return on aligned day 262 is about 1e298: bravo's fitted model
+    cannot price that day.  Acme's event stays on aligned day 230.
+    """
+    market = synthetic_market()
+    prices = market.prices.copy()
+    prices[263:] *= 1e298  # aligned day i is price day i + 1
+    write_price_csv(universe.market_file, PriceSeries("market", market.dates, prices))
+    bravo_day = market.dates[261].isoformat()
+    write_events_csv(
+        universe.events_file,
+        [("acme", universe.event_day, "Acme Corp"), ("bravo", bravo_day, "Bravo Inc")],
+    )
+    return bravo_day
 
 
 class TestLoadRunConfig:
@@ -437,6 +458,42 @@ class TestCli:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: 'acme': the return on {day}")
+        assert not (universe.tmp / "h.csv").exists()
+
+    def test_run_unpriceable_market_move_fails_only_its_event(self, universe, capsys):
+        bravo_day = _lift_the_market_inside_bravos_windows(universe)
+        assert main(["run", "--config", str(universe.config)]) == 1
+        rows = _read_csv(universe.tmp / "report.csv.partial")
+        assert [r["instrument_id"] for r in rows] == ["acme"] * 5
+        assert not (universe.tmp / "report.csv").exists()
+        err = capsys.readouterr().err
+        assert f"failed bravo@{bravo_day}: the fitted model" in err
+        assert "cannot price a day" in err
+
+    def test_histogram_unpriceable_market_move_exit_one(self, universe, capsys):
+        _lift_the_market_inside_bravos_windows(universe)
+        code = main([
+            "histogram", "--config", str(universe.config),
+            "--event", "bravo", "--window", "[-1,10]", "--out", str(universe.tmp / "h.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the fitted model") and "cannot price a day" in err
+        assert not (universe.tmp / "h.csv").exists()
+
+    @pytest.mark.parametrize("missing", ["market_file", "events_file", "price_dir"])
+    def test_histogram_missing_input_exit_two(self, universe, capsys, missing):
+        target = getattr(universe, missing)
+        if target.is_dir():
+            shutil.rmtree(target)
+        else:
+            target.unlink()
+        code = main([
+            "histogram", "--config", str(universe.config),
+            "--event", "acme", "--window", "[-1,0]", "--out", str(universe.tmp / "h.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {missing} ")
         assert not (universe.tmp / "h.csv").exists()
 
     def test_verify_published_fixture_passes(self, capsys):
