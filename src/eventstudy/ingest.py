@@ -40,13 +40,17 @@ class PriceSeries:
     """A daily close-price history for one instrument.
 
     ``dates`` are strictly increasing trading days; ``prices`` are the
-    matching positive closes.  Instances are immutable and validated on
-    construction, so everything downstream can assume a clean series.
+    matching positive closes; ``ordinals`` are the dates'
+    :meth:`~datetime.date.toordinal` values as ``int64``, derived once so
+    that :func:`align` works on integers.  Instances are immutable and
+    validated on construction, so everything downstream can assume a clean
+    series.
     """
 
     instrument_id: str
     dates: tuple[date, ...]
     prices: np.ndarray
+    ordinals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
@@ -62,12 +66,17 @@ class PriceSeries:
             raise ValueError(
                 f"{self.instrument_id}: need at least 2 price points, got {len(self.dates)}"
             )
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur <= prev:
-                raise ValueError(
-                    f"{self.instrument_id}: dates must be strictly increasing "
-                    f"({prev.isoformat()} followed by {cur.isoformat()})"
-                )
+        ordinals = np.fromiter(
+            (day.toordinal() for day in self.dates), dtype=np.int64, count=len(self.dates)
+        )
+        backwards = np.flatnonzero(np.diff(ordinals) <= 0)
+        if backwards.size:
+            prev, cur = self.dates[backwards[0]], self.dates[backwards[0] + 1]
+            raise ValueError(
+                f"{self.instrument_id}: dates must be strictly increasing "
+                f"({prev.isoformat()} followed by {cur.isoformat()})"
+            )
+        object.__setattr__(self, "ordinals", ordinals)
         if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
             raise ValueError(f"{self.instrument_id}: prices must be positive and finite")
 
@@ -161,47 +170,56 @@ def _parse_iso_date(raw: str, path: Path, line_num: int) -> date:
 def load_price_series(path: str | Path, *, instrument_id: str | None = None) -> PriceSeries:
     """Load one instrument's price history from a CSV file.
 
-    Rows may appear in any order; the result is sorted by date.  Duplicate
-    dates, non-positive or non-numeric prices, and unparsable dates raise
-    :class:`DataFormatError` naming the file and row.  ``instrument_id``
-    defaults to the file's stem.
+    Rows may appear in any order; the result is sorted by date.  Unparsable
+    dates and prices, non-positive or non-finite prices, and duplicate dates
+    raise :class:`DataFormatError` naming the file and row.  A file with
+    several faults reports the first unparsable field, else the first bad
+    price, else the first repeated date.  ``instrument_id`` defaults to the
+    file's stem.
     """
     path = Path(path)
     rows = read_csv_rows(path, ("date", "close"))
     if instrument_id is None:
         instrument_id = path.stem
 
-    seen: dict[date, int] = {}
-    parsed: list[tuple[date, float]] = []
+    days: list[date] = []
+    closes: list[float] = []
     for line_num, row in rows:
-        day = _parse_iso_date(row["date"] or "", path, line_num)
-        if day in seen:
-            raise DataFormatError(
-                f"{path}: row {line_num}: duplicate date {day.isoformat()} "
-                f"(first seen at row {seen[day]})"
-            )
-        seen[day] = line_num
+        days.append(_parse_iso_date(row["date"] or "", path, line_num))
         raw_price = (row["close"] or "").strip()
         try:
-            price = float(raw_price)
+            closes.append(float(raw_price))
         except ValueError as exc:
             raise DataFormatError(
                 f"{path}: row {line_num}: unparsable price {raw_price!r}"
             ) from exc
-        if not np.isfinite(price) or price <= 0.0:
-            raise DataFormatError(
-                f"{path}: row {line_num}: price must be positive and finite, got {raw_price}"
-            )
-        parsed.append((day, price))
-
-    if len(parsed) < 2:
+    prices = np.array(closes, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(prices) | (prices <= 0.0))
+    if bad.size:
+        line_num, row = rows[bad[0]]
         raise DataFormatError(
-            f"{path}: need at least 2 price rows to form a return, got {len(parsed)}"
+            f"{path}: row {line_num}: price must be positive and finite, "
+            f"got {row['close'].strip()}"
         )
-    parsed.sort(key=lambda pair: pair[0])
-    dates = tuple(day for day, _ in parsed)
-    prices = np.array([price for _, price in parsed], dtype=np.float64)
-    return PriceSeries(instrument_id=instrument_id, dates=dates, prices=prices)
+    if len(set(days)) < len(days):
+        first_row: dict[date, int] = {}
+        for (line_num, _), day in zip(rows, days):
+            seen_at = first_row.setdefault(day, line_num)
+            if seen_at != line_num:
+                raise DataFormatError(
+                    f"{path}: row {line_num}: duplicate date {day.isoformat()} "
+                    f"(first seen at row {seen_at})"
+                )
+    if len(days) < 2:
+        raise DataFormatError(
+            f"{path}: need at least 2 price rows to form a return, got {len(days)}"
+        )
+    order = sorted(range(len(days)), key=days.__getitem__)
+    return PriceSeries(
+        instrument_id=instrument_id,
+        dates=tuple(map(days.__getitem__, order)),
+        prices=prices[order],
+    )
 
 
 def load_event_registry(path: str | Path) -> list[EventRecord]:
@@ -227,29 +245,29 @@ def align(stock: PriceSeries, market: PriceSeries) -> AlignedReturns:
     :class:`AlignmentError` if fewer than two shared days remain, or if a
     price ratio is so extreme that a return is not finite or not above -1.
     """
-    common = sorted(set(stock.dates) & set(market.dates))
-    if len(common) < 2:
+    common, stock_at, market_at = np.intersect1d(
+        stock.ordinals, market.ordinals, assume_unique=True, return_indices=True
+    )
+    if common.size < 2:
         raise AlignmentError(
             f"insufficient overlap between {stock.instrument_id!r} and "
             f"{market.instrument_id!r}: need at least 2 shared trading days, "
-            f"got {len(common)}"
+            f"got {common.size}"
         )
+    dates = tuple(map(stock.dates.__getitem__, stock_at.tolist()))
     returns = []
-    for series in (stock, market):
-        by_day = dict(zip(series.dates, series.prices.tolist()))
-        prices = np.array([by_day[day] for day in common], dtype=np.float64)
+    for series, at in ((stock, stock_at), (market, market_at)):
+        prices = series.prices[at]
         with np.errstate(over="ignore"):
             leg = prices[1:] / prices[:-1] - 1.0
         bad = np.flatnonzero(~np.isfinite(leg) | (leg <= -1.0))
         if bad.size:
             raise AlignmentError(
-                f"{series.instrument_id!r}: the return on {common[bad[0] + 1].isoformat()} "
+                f"{series.instrument_id!r}: the return on {dates[bad[0] + 1].isoformat()} "
                 f"is {leg[bad[0]]}; a price ratio that extreme leaves no usable gross return"
             )
         returns.append(leg)
-    return AlignedReturns(
-        dates=tuple(common[1:]), stock_returns=returns[0], market_returns=returns[1]
-    )
+    return AlignedReturns(dates=dates[1:], stock_returns=returns[0], market_returns=returns[1])
 
 
 def resolve_event_day(

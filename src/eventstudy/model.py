@@ -19,7 +19,7 @@ multiplicative model exists to capture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -119,21 +119,33 @@ def fit_market_model(window: AlignedReturns) -> ModelFit:
 
 
 def fit_additive_model(window: AlignedReturns) -> AdditiveFit:
-    """Fit the additive comparison model on the same window."""
+    """Fit the additive comparison model on the same window.
+
+    Raises :class:`DegenerateModelError` for windows shorter than 3 days, a
+    market leg with zero variance, or returns so large that the sums of
+    squares overflow: a slope of ``finite / inf`` would read as exactly 0.
+    """
     if len(window) < 3:
         raise DegenerateModelError(
             f"need at least 3 estimation days to fit, got {len(window)}"
         )
     x = window.market_returns
     y = window.stock_returns
-    x_dev = x - x.mean()
-    s_xx = float(x_dev @ x_dev)
-    if s_xx == 0.0:
+    # Overflow shows up as a non-finite result, checked right after.
+    with np.errstate(all="ignore"):
+        x_dev = x - x.mean()
+        s_xx = float(x_dev @ x_dev)
+        if s_xx == 0.0:
+            raise DegenerateModelError(
+                "degenerate regressor: market returns are constant over the estimation window"
+            )
+        beta = float(x_dev @ (y - y.mean())) / s_xx
+        alpha = float(y.mean() - beta * x.mean())
+    if not (isfinite(s_xx) and isfinite(beta) and isfinite(alpha)):
         raise DegenerateModelError(
-            "degenerate regressor: market returns are constant over the estimation window"
+            f"the additive fit overflows (s_xx={s_xx!r}, beta={beta!r}, alpha={alpha!r}): "
+            f"estimation-window returns too large to regress"
         )
-    beta = float(x_dev @ (y - y.mean())) / s_xx
-    alpha = float(y.mean() - beta * x.mean())
     return AdditiveFit(alpha=alpha, beta=beta)
 
 

@@ -30,7 +30,7 @@ from .bootstrap import GENERATOR, ScenarioDistribution
 from .config import RunConfig
 from .errors import DataFormatError, EventStudyError
 from .inference import EventResult, classify_impact, run_event_study
-from .ingest import load_event_registry, load_price_series, read_csv_rows
+from .ingest import EventRecord, PriceSeries, load_event_registry, load_price_series, read_csv_rows
 from .model import DEFAULT_ESTIMATION_DAYS
 
 __all__ = [
@@ -145,6 +145,41 @@ def _write_atomically(path: Path, content: str) -> None:
         raise
 
 
+def _judge_events(
+    config: RunConfig, events: list[EventRecord], market: PriceSeries
+) -> tuple[list[ReportRow], list[tuple[str, str]]]:
+    """Judge every event in registry order; a failed event is recorded, not raised.
+
+    Each price file is read once: ``stocks`` holds the loaded series, or the
+    error loading raised, so a bad file fails every event of its instrument
+    with the same message.  The histories are released on return, before
+    the report is rendered.
+    """
+    rows: list[ReportRow] = []
+    errors: list[tuple[str, str]] = []
+    stocks: dict[str, PriceSeries | EventStudyError] = {}
+    for event in events:
+        if event.instrument_id not in stocks:
+            try:
+                stocks[event.instrument_id] = load_price_series(
+                    config.price_file(event.instrument_id), instrument_id=event.instrument_id
+                )
+            except EventStudyError as exc:
+                stocks[event.instrument_id] = exc
+        stock = stocks[event.instrument_id]
+        try:
+            if isinstance(stock, EventStudyError):
+                raise stock
+            results = run_event_study(event, stock, market, config.settings)
+        except EventStudyError as exc:
+            logger.warning("skipping %s: %s", event.key, exc)
+            errors.append((event.key, str(exc)))
+            continue
+        rows.extend(ReportRow.from_result(result) for result in results)
+        logger.info("judged %s over %d windows", event.key, len(results))
+    return rows, errors
+
+
 def run(config: RunConfig) -> RunOutcome:
     """Execute a full study run and write its report.
 
@@ -162,21 +197,7 @@ def run(config: RunConfig) -> RunOutcome:
                        config.events_file)
     market = load_price_series(config.market_file)
 
-    settings = config.settings
-    rows: list[ReportRow] = []
-    errors: list[tuple[str, str]] = []
-    for event in events:
-        try:
-            stock = load_price_series(
-                config.price_file(event.instrument_id), instrument_id=event.instrument_id
-            )
-            results = run_event_study(event, stock, market, settings)
-        except EventStudyError as exc:
-            logger.warning("skipping %s: %s", event.key, exc)
-            errors.append((event.key, str(exc)))
-            continue
-        rows.extend(ReportRow.from_result(result) for result in results)
-        logger.info("judged %s over %d windows", event.key, len(results))
+    rows, errors = _judge_events(config, events, market)
 
     partial_path = Path(f"{config.output}.partial")
     report_path, stale_path = (

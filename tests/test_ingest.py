@@ -65,6 +65,18 @@ class TestLoadPriceSeries:
         with pytest.raises(DataFormatError, match="duplicate date 2014-01-06"):
             load_price_series(_write_rows(tmp_path / "x.csv", rows))
 
+    def test_duplicate_date_names_first_repeat_in_file_order(self, tmp_path):
+        rows = [
+            ("2014-01-08", "100.0"),
+            ("2014-01-06", "101.0"),
+            ("2014-01-08", "102.0"),
+            ("2014-01-06", "103.0"),
+        ]
+        with pytest.raises(
+            DataFormatError, match=r"row 4: duplicate date 2014-01-08 \(first seen at row 2\)"
+        ):
+            load_price_series(_write_rows(tmp_path / "x.csv", rows))
+
     def test_too_few_rows(self, tmp_path):
         with pytest.raises(DataFormatError, match="at least 2"):
             load_price_series(_write_rows(tmp_path / "x.csv", [("2014-01-06", "100.0")]))
@@ -99,6 +111,12 @@ class TestPriceSeriesValidation:
         days = (date(2014, 1, 7), date(2014, 1, 7))
         with pytest.raises(ValueError, match="strictly increasing"):
             PriceSeries("x", days, np.array([1.0, 2.0]))
+
+    def test_first_backward_step_is_named(self):
+        days = (date(2014, 1, 6), date(2014, 1, 8), date(2014, 1, 7), date(2014, 1, 7),
+                date(2014, 1, 3))
+        with pytest.raises(ValueError, match=r"\(2014-01-08 followed by 2014-01-07\)$"):
+            PriceSeries("x", days, np.ones(5))
 
     def test_prices_positive(self):
         days = trading_calendar(date(2014, 1, 6), 2)
@@ -174,6 +192,63 @@ class TestAlign:
             AlignedReturns(days, np.array([0.1]), np.array([0.1, 0.2]))
         with pytest.raises(ValueError, match="greater than -1"):
             AlignedReturns(days, np.array([0.1, -1.0]), np.array([0.1, 0.2]))
+
+
+def _reference_align(stock, market):
+    """The set-and-dict alignment ``align`` replaced, kept as its oracle."""
+    common = sorted(set(stock.dates) & set(market.dates))
+    if len(common) < 2:
+        raise AlignmentError(
+            f"insufficient overlap between {stock.instrument_id!r} and "
+            f"{market.instrument_id!r}: need at least 2 shared trading days, "
+            f"got {len(common)}"
+        )
+    returns = []
+    for series in (stock, market):
+        by_day = dict(zip(series.dates, series.prices.tolist()))
+        prices = np.array([by_day[day] for day in common], dtype=np.float64)
+        with np.errstate(over="ignore"):
+            leg = prices[1:] / prices[:-1] - 1.0
+        bad = np.flatnonzero(~np.isfinite(leg) | (leg <= -1.0))
+        if bad.size:
+            raise AlignmentError(
+                f"{series.instrument_id!r}: the return on {common[bad[0] + 1].isoformat()} "
+                f"is {leg[bad[0]]}; a price ratio that extreme leaves no usable gross return"
+            )
+        returns.append(leg)
+    return tuple(common[1:]), returns[0], returns[1]
+
+
+_CALENDAR = trading_calendar(date(2014, 1, 6), 40)
+_PRICE = st.one_of(
+    st.floats(min_value=1.0, max_value=1e3),
+    st.floats(min_value=1e-310, max_value=1e308, allow_subnormal=True),
+)
+
+
+@st.composite
+def _gappy_series(draw, instrument_id):
+    """A price series on a random subset of one shared 40-day calendar."""
+    days = draw(st.lists(st.sampled_from(_CALENDAR), min_size=2, max_size=40, unique=True))
+    prices = draw(st.lists(_PRICE, min_size=len(days), max_size=len(days)))
+    return PriceSeries(instrument_id, sorted(days), np.array(prices))
+
+
+class TestAlignMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(stock=_gappy_series("s"), market=_gappy_series("m"))
+    def test_bit_identical_to_set_and_dict_alignment(self, stock, market):
+        try:
+            expected = _reference_align(stock, market)
+        except AlignmentError as exc:
+            with pytest.raises(AlignmentError) as raised:
+                align(stock, market)
+            assert str(raised.value) == str(exc)
+            return
+        aligned = align(stock, market)
+        assert aligned.dates == expected[0]
+        assert aligned.stock_returns.tobytes() == expected[1].tobytes()
+        assert aligned.market_returns.tobytes() == expected[2].tobytes()
 
 
 class TestResolveEventDay:

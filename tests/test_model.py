@@ -130,6 +130,15 @@ class TestAdditiveFit:
         with pytest.raises(DegenerateModelError, match="degenerate regressor"):
             fit_additive_model(window)
 
+    def test_overflowing_sum_of_squares_is_degenerate(self):
+        # One market return of 1e298 overflows x_dev @ x_dev to infinity;
+        # the slope must not come out as finite / inf == 0.
+        window = _random_window(seed=7)
+        market = window.market_returns.copy()
+        market[50] = 1e298
+        with pytest.raises(DegenerateModelError, match="additive fit overflows"):
+            fit_additive_model(_window(window.stock_returns, market))
+
     def test_abnormal_returns_sum_to_zero_in_sample(self):
         window = _random_window(seed=6)
         fit = fit_additive_model(window)

@@ -15,9 +15,9 @@ import pytest
 from eventstudy import StudySettings
 from eventstudy.cli import main
 from eventstudy.config import load_run_config
-from eventstudy.errors import ConfigError
+from eventstudy.errors import ConfigError, DataFormatError
 from eventstudy.inference import classify_impact
-from eventstudy.ingest import PriceSeries, align
+from eventstudy.ingest import PriceSeries, align, load_price_series
 from eventstudy.bootstrap import ScenarioSpec, generate_distribution
 from eventstudy.report import REPORT_COLUMNS, emit_histogram, run
 
@@ -116,6 +116,31 @@ def _lift_the_market_inside_bravos_windows(universe):
         [("acme", universe.event_day, "Acme Corp"), ("bravo", bravo_day, "Bravo Inc")],
     )
     return bravo_day
+
+
+def _lift_the_market_inside_acmes_estimation(universe):
+    """Multiply every market close from aligned day 41 on by 1e298 and move
+    bravo's event to aligned day 288.
+
+    The market return on aligned day 40 is then about 1e298.  That day is
+    inside acme's estimation window (days 29 to 228) but not bravo's (days
+    87 to 286).  Every price stays positive and finite, so alignment and the
+    multiplicative fit succeed.
+    """
+    market = synthetic_market()
+    prices = market.prices.copy()
+    prices[41:] *= 1e298  # aligned day i is price day i + 1
+    write_price_csv(universe.market_file, PriceSeries("market", market.dates, prices))
+    write_events_csv(
+        universe.events_file,
+        [("acme", universe.event_day, "Acme Corp"),
+         ("bravo", market.dates[289].isoformat(), "Bravo Inc")],
+    )
+
+
+def _event_days(*aligned_days):
+    market = synthetic_market()
+    return [market.dates[day + 1].isoformat() for day in aligned_days]
 
 
 class TestLoadRunConfig:
@@ -250,6 +275,52 @@ class TestRun:
         key, message = outcome.errors[0]
         assert key == f"ghost@{universe.event_day}"
         assert "ghost.csv" in message
+
+    def test_each_price_file_is_read_once(self, universe, monkeypatch):
+        calls = []
+
+        def counting_load(path, **kwargs):
+            calls.append(Path(path).name)
+            return load_price_series(path, **kwargs)
+
+        monkeypatch.setattr("eventstudy.report.load_price_series", counting_load)
+        day1, day2, day3 = _event_days(230, 240, 250)
+        registry = [("acme", day1, ""), ("bravo", day1, ""), ("acme", day2, ""),
+                    ("bravo", day2, ""), ("acme", day3, "")]
+        write_events_csv(universe.events_file, registry)
+        outcome = run(load_run_config(universe.config))
+        assert sorted(calls) == ["acme.csv", "bravo.csv", "market.csv"]
+        assert not outcome.errors
+        assert [(r.instrument_id, r.announcement_date) for r in outcome.rows[::5]] == [
+            (instrument, day) for instrument, day, _ in registry
+        ]
+
+    def test_bad_price_file_fails_every_event_of_its_instrument(self, universe):
+        (universe.price_dir / "broken.csv").write_text(
+            "date,close\n2014-01-06,100.0\n2014-01-07,n/a\n", encoding="utf-8"
+        )
+        day1, day2 = _event_days(230, 240)
+        registry = [("acme", day1), ("ghost", day1), ("bravo", day1), ("broken", day1),
+                    ("ghost", day2), ("acme", day2), ("broken", day2)]
+        write_events_csv(universe.events_file, [(i, d, "") for i, d in registry])
+        outcome = run(load_run_config(universe.config))
+
+        assert outcome.report_path == universe.tmp / "report.csv.partial"
+        assert outcome.report_path.exists()
+        assert not (universe.tmp / "report.csv").exists()
+        assert [key for key, _ in outcome.errors] == [
+            f"{i}@{d}" for i, d in registry if i in ("ghost", "broken")
+        ]
+        messages = dict(outcome.errors)
+        for instrument in ("ghost", "broken"):
+            with pytest.raises(DataFormatError) as direct:
+                load_price_series(universe.price_dir / f"{instrument}.csv")
+            assert messages[f"{instrument}@{day1}"] == str(direct.value)
+            assert messages[f"{instrument}@{day2}"] == str(direct.value)
+        assert [(r.instrument_id, r.announcement_date) for r in outcome.rows[::5]] == [
+            (i, d) for i, d in registry if i in ("acme", "bravo")
+        ]
+        assert len(outcome.rows) == 15
 
     def test_each_run_removes_the_other_report(self, universe):
         config = load_run_config(universe.config)
@@ -469,6 +540,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"failed bravo@{bravo_day}: the fitted model" in err
         assert "cannot price a day" in err
+
+    def test_run_overflowing_additive_fit_fails_only_its_event(self, universe, capsys):
+        _lift_the_market_inside_acmes_estimation(universe)
+        assert main(["run", "--config", str(universe.config)]) == 1
+        rows = _read_csv(universe.tmp / "report.csv.partial")
+        assert [r["instrument_id"] for r in rows] == ["bravo"] * 5
+        assert not (universe.tmp / "report.csv").exists()
+        err = capsys.readouterr().err
+        assert f"failed acme@{universe.event_day}: the additive fit overflows" in err
 
     def test_histogram_unpriceable_market_move_exit_one(self, universe, capsys):
         _lift_the_market_inside_bravos_windows(universe)
