@@ -17,6 +17,7 @@ import csv
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -137,23 +138,43 @@ class AlignedReturns:
         return len(self.dates)
 
 
-def read_csv_rows(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
-    """Read a CSV file and return ``(line_number, row)`` pairs.
+def read_csv_rows(
+    path: Path, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> list[tuple[int, tuple[str | None, ...]]]:
+    """Read a CSV file and return ``(line_number, fields)`` pairs.
 
+    ``fields`` holds the row's values in the columns ``required + optional``
+    (at least two), in that order; a value the row lacks, or an optional
+    column the header lacks, reads as ``None``.  Blank lines are skipped.
     Raises :class:`DataFormatError` if the file is unreadable or the header
     is missing any of ``required``.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
                 raise DataFormatError(f"{path}: file is empty (no header row)")
-            missing = [col for col in required if col not in reader.fieldnames]
+            position = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
+            missing = [col for col in required if col not in position]
             if missing:
                 raise DataFormatError(
                     f"{path}: header is missing required column(s) {', '.join(missing)}"
                 )
-            return [(reader.line_num, row) for row in reader]
+            n_columns = len(header)
+            # Each row is cut or padded with None to the header's width, plus
+            # one None slot past it that an absent optional column reads.
+            pick = itemgetter(*(position.get(col, n_columns) for col in required + optional))
+            padding = [None] * n_columns
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != n_columns:
+                    row = (row + padding)[:n_columns]
+                row.append(None)
+                rows.append((reader.line_num, pick(row)))
+            return rows
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read file ({exc})") from exc
 
@@ -184,9 +205,9 @@ def load_price_series(path: str | Path, *, instrument_id: str | None = None) -> 
 
     days: list[date] = []
     closes: list[float] = []
-    for line_num, row in rows:
-        days.append(_parse_iso_date(row["date"] or "", path, line_num))
-        raw_price = (row["close"] or "").strip()
+    for line_num, (raw_day, raw_close) in rows:
+        days.append(_parse_iso_date(raw_day or "", path, line_num))
+        raw_price = (raw_close or "").strip()
         try:
             closes.append(float(raw_price))
         except ValueError as exc:
@@ -196,10 +217,10 @@ def load_price_series(path: str | Path, *, instrument_id: str | None = None) -> 
     prices = np.array(closes, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(prices) | (prices <= 0.0))
     if bad.size:
-        line_num, row = rows[bad[0]]
+        line_num, (_, raw_close) = rows[bad[0]]
         raise DataFormatError(
             f"{path}: row {line_num}: price must be positive and finite, "
-            f"got {row['close'].strip()}"
+            f"got {raw_close.strip()}"
         )
     if len(set(days)) < len(days):
         first_row: dict[date, int] = {}
@@ -225,14 +246,14 @@ def load_price_series(path: str | Path, *, instrument_id: str | None = None) -> 
 def load_event_registry(path: str | Path) -> list[EventRecord]:
     """Load the event registry: one announcement per row, in file order."""
     path = Path(path)
-    rows = read_csv_rows(path, ("instrument_id", "date"))
+    rows = read_csv_rows(path, ("instrument_id", "date"), ("label",))
     events: list[EventRecord] = []
-    for line_num, row in rows:
-        instrument = (row["instrument_id"] or "").strip()
+    for line_num, (raw_instrument, raw_day, raw_label) in rows:
+        instrument = (raw_instrument or "").strip()
         if not instrument:
             raise DataFormatError(f"{path}: row {line_num}: empty instrument_id")
-        day = _parse_iso_date(row["date"] or "", path, line_num)
-        label = (row.get("label") or "").strip()
+        day = _parse_iso_date(raw_day or "", path, line_num)
+        label = (raw_label or "").strip()
         events.append(EventRecord(instrument_id=instrument, announcement_date=day, label=label))
     return events
 

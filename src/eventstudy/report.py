@@ -257,22 +257,22 @@ def verify_decision_fixture(path: str | Path) -> tuple[int, list[str]]:
     rows = read_csv_rows(path, ("company", "event_period", "car", "percentile", "impact"))
     valid_labels = {"Negative", "None", "Positive"}
     mismatches: list[str] = []
-    for line, record in rows:
-        expected = (record["impact"] or "").strip()
+    for line, (company, event_period, raw_car, raw_percentile, raw_impact) in rows:
+        expected = (raw_impact or "").strip()
         if expected not in valid_labels:
             raise DataFormatError(
                 f"{path}: row {line}: impact must be one of {sorted(valid_labels)}, "
                 f"got {expected!r}"
             )
         try:
-            car = float(record["car"])
-            percentile = float(record["percentile"])
+            car = float(raw_car)
+            percentile = float(raw_percentile)
             computed = classify_impact(car, percentile).value
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: row {line}: bad car or percentile ({exc})") from exc
         if computed != expected:
             mismatches.append(
-                f"row {line}: {record['company']} {record['event_period']}: "
+                f"row {line}: {company} {event_period}: "
                 f"published {expected}, computed {computed} "
                 f"(car={car}, percentile={percentile})"
             )

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eventstudy.bootstrap import (
+    _PAIR_POOL_LIMIT,
     Histogram,
     ScenarioDistribution,
     ScenarioSpec,
@@ -24,11 +25,22 @@ def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
     Positions a fresh generator at the counter block holding each scenario's
     first draw, splits the 64-bit words into 32-bit draws with shifts and
     masks, and multiplies factors one by one — no chunking, no vectorised
-    gather, no reinterpreted memory.  The engine must match this bit for bit.
+    gather, no reinterpreted memory, no table.  In iid mode a pool of at most
+    ``_PAIR_POOL_LIMIT`` days takes its days in pairs: draw ``u`` picks
+    ``(a, b) = divmod(u % (m*m), m)`` and multiplies in ``g[a] * g[b]``; an
+    odd ``k`` ends with one single draw ``u % m``.  A longer pool takes ``k``
+    single draws.  The engine must match this bit for bit.
     """
     gross = 1.0 + np.asarray(pool, dtype=float)
     pool_len = gross.size
-    per_scenario = spec.draws_k if spec.mode == "iid" else 1
+    k = spec.draws_k
+    paired = spec.mode == "iid" and pool_len <= _PAIR_POOL_LIMIT
+    if spec.mode == "block":
+        per_scenario = 1
+    elif paired:
+        per_scenario = k // 2 + k % 2
+    else:
+        per_scenario = k
     cars = np.empty(spec.n_scenarios)
     for i in range(spec.n_scenarios):
         first = i * per_scenario
@@ -42,11 +54,19 @@ def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
         ]
         product = 1.0
         if spec.mode == "iid":
+            days_left = k
             for u in draws:
-                product *= gross[u % pool_len]
+                if paired and days_left >= 2:
+                    a, b = divmod(u % (pool_len * pool_len), pool_len)
+                    product *= gross[a] * gross[b]
+                    days_left -= 2
+                else:
+                    product *= gross[u % pool_len]
+                    days_left -= 1
+            assert days_left == 0
         else:
-            start = draws[0] % (pool_len - spec.draws_k + 1)
-            for j in range(start, start + spec.draws_k):
+            start = draws[0] % (pool_len - k + 1)
+            for j in range(start, start + k):
                 product *= gross[j]
         cars[i] = product - 1.0
     return cars
@@ -105,6 +125,16 @@ class TestScenarioSpec:
             ScenarioSpec(**kwargs)
 
 
+def assert_engine_matches(pool: np.ndarray, spec: ScenarioSpec, expected: np.ndarray) -> None:
+    """Every distinct oracle CAR, registered as a reference, counts exactly."""
+    references = sorted(set(expected.tolist()))
+    dist = generate_distribution(pool, spec, references=references, chunk_size=173)
+    for value in references:
+        assert dist.count_below(value) == int((expected < value).sum())
+        assert dist.count_equal(value) == int((expected == value).sum())
+    assert (dist.min_car, dist.max_car) == (expected.min(), expected.max())
+
+
 class TestEngineMatchesScalarOracle:
     @pytest.mark.parametrize(
         "mode,draws",
@@ -112,28 +142,23 @@ class TestEngineMatchesScalarOracle:
     )
     def test_counts_min_max_bitwise(self, pool, mode, draws):
         spec = ScenarioSpec(draws_k=draws, n_scenarios=800, seed=99, mode=mode)
-        expected = rederive_cars(pool, spec)
-        references = sorted(set(expected.tolist()))
-        dist = generate_distribution(pool, spec, references=references, chunk_size=173)
-        for value in references:
-            assert dist.count_below(value) == int((expected < value).sum())
-            assert dist.count_equal(value) == int((expected == value).sum())
-        assert dist.min_car == expected.min()
-        assert dist.max_car == expected.max()
+        assert_engine_matches(pool, spec, rederive_cars(pool, spec))
+
+    @pytest.mark.parametrize("pool_len", [_PAIR_POOL_LIMIT, _PAIR_POOL_LIMIT + 1])
+    def test_pool_at_and_past_the_pair_limit_bitwise(self, pool_len):
+        # The longest pool still draws pairs; one day more and every day is
+        # a single draw, through the same engine loop.
+        long_pool = 0.02 * np.random.default_rng(pool_len).standard_normal(pool_len)
+        spec = ScenarioSpec(draws_k=5, n_scenarios=800, seed=99)
+        assert_engine_matches(long_pool, spec, rederive_cars(long_pool, spec))
 
     @pytest.mark.parametrize("mode,draws", [("iid", 5), ("block", 3)])
     def test_longer_run_extends_a_shorter_one(self, pool, mode, draws):
         # Nothing pads or reorders the draws, so the first 1,000 scenarios
         # of a 5,000-scenario stream are exactly a 1,000-scenario run.
         long_spec = ScenarioSpec(draws_k=draws, n_scenarios=5_000, seed=41, mode=mode)
-        expected = rederive_cars(pool, long_spec)[:1_000]
-        references = sorted(set(expected.tolist()))
         short_spec = ScenarioSpec(draws_k=draws, n_scenarios=1_000, seed=41, mode=mode)
-        dist = generate_distribution(pool, short_spec, references=references, chunk_size=173)
-        for value in references:
-            assert dist.count_below(value) == int((expected < value).sum())
-            assert dist.count_equal(value) == int((expected == value).sum())
-        assert (dist.min_car, dist.max_car) == (expected.min(), expected.max())
+        assert_engine_matches(pool, short_spec, rederive_cars(pool, long_spec)[:1_000])
 
 
 class TestDeterminism:
@@ -218,6 +243,28 @@ class TestResamplingStatistics:
         p = 1 / pool_values.size
         sigma = np.sqrt(spec.n_scenarios * p * (1 - p))
         assert np.abs(counts - spec.n_scenarios * p).max() < 5 * sigma
+
+    def test_every_unordered_pair_has_its_exact_probability(self):
+        # One pair draw per scenario on 12 days whose 78 unordered pair
+        # products are all distinct: cell {a, b} is binomial(n, 2/m**2) off
+        # the diagonal and binomial(n, 1/m**2) on it.  A wrong pair mapping,
+        # table layout or modulus would push some cell outside 5 SE.
+        pool_values = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]) / 1000.0
+        gross = 1.0 + pool_values
+        m = gross.size
+        cells = {
+            float(gross[a] * gross[b]) - 1.0: (1 if a == b else 2) / m**2
+            for a in range(m)
+            for b in range(a, m)
+        }
+        assert len(cells) == m * (m + 1) // 2
+        spec = ScenarioSpec(draws_k=2, n_scenarios=1_000_000, seed=67)
+        dist = generate_distribution(pool_values, spec, references=tuple(cells))
+        counts = {value: dist.count_equal(value) for value in cells}
+        assert sum(counts.values()) == spec.n_scenarios
+        for value, p in cells.items():
+            sigma = np.sqrt(spec.n_scenarios * p * (1 - p))
+            assert abs(counts[value] - spec.n_scenarios * p) < 5 * sigma
 
     def test_iid_mean_matches_theory(self, pool):
         # E[1 + CAR] = (mean gross)^k for iid draws; check via histogram

@@ -26,12 +26,12 @@ EVENT_INDEX = 230
 N_SCENARIOS = 150_000
 
 REPORT_SHA256 = {
-    ("iid", "csv"): "6eed4822128b82980b616ff00b7bfb8d537f857a52a6b41f30b9df9a098ccf67",
-    ("iid", "json"): "9b4a16e8a9fc6a9e466478a803a3d8e96338f581aa5fdca64aaf4083ae7a38d0",
-    ("block", "csv"): "be5a220f60763022526fda678a34d3b37574b75a860cac4f99e446f6da351ef6",
-    ("block", "json"): "87fba522f70f97ad8b80ee5955ce96b78eb65e53459b5c2695bba070d5b5fd43",
+    ("iid", "csv"): "5903f1caee0c16a0042a1a07e22d63a1c41150300e378f047389430158183b8a",
+    ("iid", "json"): "c31d3833f05496d6f45fde9624cfb53f51993c45c917ced8deef671b0d232be4",
+    ("block", "csv"): "59f133a8a349eb89810a35306dac158d1b675c2da2ae930952734c8a3385a4cc",
+    ("block", "json"): "6f24c197d0f84a59bc84a296cae669a2bb8782cdc05f89914e7943c06e882c29",
 }
-HISTOGRAM_SHA256 = "4c9dba08f12b459900d82ef59c4f59f2f3f8f89599e1a0789405e3e3364240e7"
+HISTOGRAM_SHA256 = "2b4caed721890142c3c422a4f67d864c9f7d0b4dcadac7fe313b970f159eab67"
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ def test_report_bytes_are_pinned(golden_universe, mode, fmt, workers):
         "mode": mode, "format": fmt, "workers": str(workers), "output": str(output),
     }))
     assert outcome.errors == []
-    assert {row.generator for row in outcome.rows} == {"philox4x64-u32"}
+    assert {row.generator for row in outcome.rows} == {"philox4x64-u32-pairs"}
     assert _sha256(output) == REPORT_SHA256[mode, fmt]
 
 

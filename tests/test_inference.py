@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eventstudy import StudySettings, event_scenario_distribution, run_event_study
-from eventstudy.bootstrap import percentile_of
+from eventstudy.bootstrap import GENERATOR, percentile_of
 from eventstudy.errors import HistoryError
 from eventstudy.inference import (
     STANDARD_WINDOWS,
@@ -136,7 +136,7 @@ class TestRunEventStudy:
             assert result.settings.mode == "iid"
             assert result.settings.estimation_days == 200
             row = ReportRow.from_result(result)
-            assert row.generator == "philox4x64-u32"
+            assert row.generator == GENERATOR
             assert row.flags == ""
 
     def test_rerun_is_bit_identical(self, market):

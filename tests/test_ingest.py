@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from eventstudy import load_event_registry, load_price_series
 from eventstudy.errors import AlignmentError, DataFormatError, HistoryError
-from eventstudy.ingest import AlignedReturns, EventRecord, PriceSeries, align, resolve_event_day
+from eventstudy.ingest import (
+    AlignedReturns,
+    EventRecord,
+    PriceSeries,
+    align,
+    read_csv_rows,
+    resolve_event_day,
+)
 
 from .conftest import synthetic_market, trading_calendar, write_price_csv
 
@@ -249,6 +256,54 @@ class TestAlignMatchesReference:
         assert aligned.dates == expected[0]
         assert aligned.stock_returns.tobytes() == expected[1].tobytes()
         assert aligned.market_returns.tobytes() == expected[2].tobytes()
+
+
+def _reference_read_csv_rows(path, required, optional):
+    """The ``csv.DictReader`` reading ``read_csv_rows`` replaced, kept as its oracle."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            raise DataFormatError(f"{path}: file is empty (no header row)")
+        missing = [col for col in required if col not in reader.fieldnames]
+        if missing:
+            raise DataFormatError(
+                f"{path}: header is missing required column(s) {', '.join(missing)}"
+            )
+        return [
+            (reader.line_num, tuple(row.get(col) for col in required + optional))
+            for row in reader
+        ]
+
+
+_FIELD = st.text(alphabet='ab1 ,"\n', max_size=4)
+
+
+class TestReadCsvRowsMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        header=st.none() | st.lists(st.sampled_from(["date", "close", "label", "x"]), max_size=5),
+        body=st.lists(st.lists(_FIELD, max_size=6), max_size=8),
+    )
+    def test_same_fields_line_numbers_and_errors_as_dictreader(
+        self, tmp_path_factory, header, body
+    ):
+        # Blank lines, short and long rows, repeated column names, an absent
+        # optional column and quoted fields spanning lines all read as before.
+        path = tmp_path_factory.getbasetemp() / "read_csv_rows.csv"  # rewritten per example
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            if header is not None:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(body)
+        columns = ("date", "close"), ("label",)
+        try:
+            expected = _reference_read_csv_rows(path, *columns)
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as raised:
+                read_csv_rows(path, *columns)
+            assert str(raised.value) == str(exc)
+            return
+        assert read_csv_rows(path, *columns) == expected
 
 
 class TestResolveEventDay:

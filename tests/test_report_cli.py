@@ -18,7 +18,7 @@ from eventstudy.config import load_run_config
 from eventstudy.errors import ConfigError, DataFormatError
 from eventstudy.inference import classify_impact
 from eventstudy.ingest import PriceSeries, align, load_price_series
-from eventstudy.bootstrap import ScenarioSpec, generate_distribution
+from eventstudy.bootstrap import GENERATOR, ScenarioSpec, generate_distribution
 from eventstudy.report import REPORT_COLUMNS, emit_histogram, run
 
 from .conftest import (
@@ -231,7 +231,7 @@ class TestRun:
         ]
         assert {r["seed"] for r in rows} == {"9"}
         assert {r["n_scenarios"] for r in rows} == {"2000"}
-        assert {r["generator"] for r in rows} == {"philox4x64-u32"}
+        assert {r["generator"] for r in rows} == {GENERATOR}
 
     def test_csv_number_formatting(self, universe):
         outcome = run(load_run_config(universe.config))
