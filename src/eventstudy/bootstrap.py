@@ -21,33 +21,54 @@ Instead the generator streams chunks and keeps only reductions: exact
 below/equal counts for registered reference values, the observed min/max,
 and (optionally) fixed-bin histogram counts.
 
-Randomness comes from a counter-based generator (Philox, 4x64) keyed with
-``spec.seed``.  Its 64-bit words ``w_0, w_1, ...`` give the 32-bit draws
-``u_{2p} = w_p & 0xFFFFFFFF`` and ``u_{2p+1} = w_p >> 32``, so one counter
-block holds eight draws.  Scenario ``i`` uses the ``d`` draws
-``u_{i*d} ... u_{i*d+d-1}``; nothing is padded, so the first ``n`` scenarios
-are the same for any ``n_scenarios``.  A chunk positions itself with
-``advance`` at the block that holds its first draw, so the resulting
-distribution is a pure function of (pool, spec, references, histogram_bins)
-— chunk size and worker count cannot change a single bit of it.
+Randomness comes from PCG64DXSM (O'Neill's permuted congruential generator
+with the "double xorshift multiply" output), keyed with ``spec.seed`` through
+``numpy.random.SeedSequence``.  Its 64-bit words ``w_0, w_1, ...`` give the
+32-bit draws ``u_{2p} = w_p & 0xFFFFFFFF`` and ``u_{2p+1} = w_p >> 32``.
+Scenario ``i`` uses the ``d`` draws ``u_{i*d} ... u_{i*d+d-1}``; nothing is
+padded, so the first ``n`` scenarios are the same for any ``n_scenarios``.
+A chunk positions itself with ``advance`` at the word that holds its first
+draw, so the resulting distribution is a pure function of (pool, spec,
+references, histogram_bins) — chunk size and worker count cannot change a
+single bit of it.
+
+Why these streams are independent enough: every (event, window) pair has its
+own 64-bit seed (``derive_seed``), and ``SeedSequence`` hashes that seed into
+both the 128-bit starting state and the increment of the underlying
+congruential generator.  Two windows share an increment with a chance of
+about 2**-127, and even then their streams overlap only if their starts lie
+within a window's few tens of millions of words of each other on a period of
+2**128.  Streams with different increments are affine images of one another;
+the DXSM output permutation is built to hide that relation, which is why
+numpy recommends it over PCG64's XSL-RR output for many parallel streams.
+``advance(n)`` jumps the congruential state by exactly ``n`` steps in
+O(log n) multiplications (Brown's arbitrary-stride method), so a chunk reads
+the very words that one pass over the whole stream would have read.
+
+Each draw ``u`` picks an index below a modulus ``M`` by Lemire's
+multiply-shift, ``floor(u * M / 2**32)``, computed as a float64 product with
+``M * 2**-32`` truncated to an integer.  That product is exact while
+``u * M < 2**53``, that is for ``M <= 2**21``, so a pool may be at most
+``MAX_POOL_DAYS`` (``2**21``) days long and a longer one is rejected.
 
 In iid mode, with ``m`` pool days and gross returns ``g = 1 + pool``, the
 draws are taken two pool days at a time: ``d = k // 2 + k % 2``.  Each of the
-first ``k // 2`` draws picks the ordered pair ``(a, b) = divmod(u % m**2, m)``
-and contributes the pair product ``fl(g[a] * g[b])``, read from a table of
-all ``m**2`` products built once per distribution (320 KB at ``m = 200``).
-When ``k`` is odd, one last draw picks the single day ``u % m``.  In block
-mode ``d = 1``: the draw picks a start ``u % (m - k + 1)`` and the scenario
-compounds the ``k`` consecutive days from there.  The factors are multiplied
-in draw order.
+first ``k // 2`` draws maps to an index ``p < m**2``, picks the ordered pair
+``(a, b) = divmod(p, m)`` and contributes the pair product
+``fl(g[a] * g[b])``, read from a table of all ``m**2`` products built once per
+distribution (320 KB at ``m = 200``).  When ``k`` is odd, one last draw picks
+a single day below ``m``.  In block mode ``d = 1``: the draw picks a start
+below ``m - k + 1`` and the scenario compounds the ``k`` consecutive days
+from there.  The factors are multiplied in draw order.
 
-Because ``2**32`` is not a multiple of a modulus ``M``, one residue's
+Because ``2**32`` is not a multiple of a modulus ``M``, the multiply-shift
+gives some indices one more draw value than others, so one index's
 probability can exceed another's by a factor of at most ``1 + M / 2**32``:
 about 1 + 9.3e-6 for a pair draw on a 200-day pool (7,296 of its 40,000
 pairs are that much likelier than the rest) and 1 + 5e-8 for a single draw.
 To keep the pair bound at 1 + 6.1e-5 and the table at 2 MB, a pool longer
 than ``_PAIR_POOL_LIMIT`` (512) days takes ``k`` single draws instead
-(``d = k``), through the same table-and-modulus loop.
+(``d = k``), through the same table-and-index loop.
 """
 
 from __future__ import annotations
@@ -62,6 +83,7 @@ import numpy as np
 __all__ = [
     "DEFAULT_N_SCENARIOS",
     "GENERATOR",
+    "MAX_POOL_DAYS",
     "ScenarioSpec",
     "Histogram",
     "ScenarioDistribution",
@@ -80,10 +102,13 @@ DEFAULT_CHUNK_SIZE = 1 << 17
 
 #: Names the stream definition above; reports carry it so that a change to
 #: the stream shows as a different tag rather than silently different numbers.
-GENERATOR = "philox4x64-u32-pairs"
+GENERATOR = "pcg64dxsm-u32-mulshift-pairs"
+
+#: Longest pool the index mapping handles exactly: a draw times a modulus of
+#: at most this many days stays below 2**53, where float64 is still exact.
+MAX_POOL_DAYS = 1 << 21
 
 _MAX_SEED = 2**64 - 1
-_DRAWS_PER_BLOCK = 8  # a Philox 4x64 counter block: four words, two draws each
 # Scenarios are compounded in slabs of this many rows, so that a slab's
 # draws and running products stay in cache while its columns are multiplied
 # in; a slab's size cannot change any scenario's value.
@@ -209,8 +234,8 @@ def derive_seed(root_seed: int, *components: str) -> int:
 def _columns(pool_gross: np.ndarray, spec: ScenarioSpec) -> list[tuple[np.ndarray, int]]:
     """The ``(table, modulus)`` behind each of a scenario's draws, in draw order.
 
-    Draw ``u`` contributes the factor ``table[u % modulus]``; the tables are
-    built once per distribution and shared by every chunk and thread.
+    Draw ``u`` contributes the factor ``table[_indices(u, modulus)]``; the
+    tables are built once per distribution and shared by every chunk and thread.
     """
     m = pool_gross.size
     k = spec.draws_k
@@ -223,9 +248,20 @@ def _columns(pool_gross: np.ndarray, spec: ScenarioSpec) -> list[tuple[np.ndarra
             runs *= pool_gross[j : j + n_starts]
         return [(runs, n_starts)]
     span = 2 if m <= _PAIR_POOL_LIMIT else 1  # pool days per draw
-    # Entry a*m + b of the pair table is g[a] * g[b], so u % m**2 picks (a, b).
+    # Entry a*m + b of the pair table is g[a] * g[b], so an index below m**2
+    # picks (a, b).
     table = np.multiply.outer(pool_gross, pool_gross).ravel() if span == 2 else pool_gross
     return [(table, m**span)] * (k // span) + [(pool_gross, m)] * (k % span)
+
+
+def _indices(draws: np.ndarray, modulus: int) -> np.ndarray:
+    """Map 32-bit draws ``u`` to ``floor(u * modulus / 2**32)``, each below ``modulus``.
+
+    Exact for ``modulus <= MAX_POOL_DAYS``: ``u * modulus`` is then below
+    2**53, so the float64 product with the power-of-two scale is not rounded
+    and the cast truncates it to the integer part.
+    """
+    return np.multiply(draws, modulus * 2.0**-32, dtype=np.float64).astype(np.intp)
 
 
 def _chunk_cars(
@@ -237,15 +273,15 @@ def _chunk_cars(
     """Generate the CARs of scenarios ``[start, start + count)``.
 
     Depends only on (columns, seed, start, count): the generator is advanced
-    to the block holding the chunk's first draw, so any partition of the
+    to the word holding the chunk's first draw, so any partition of the
     scenario range into chunks yields the same per-scenario values.
     """
     per_scenario = len(columns)
     first = start * per_scenario
     n_draws = count * per_scenario
-    skip = first % _DRAWS_PER_BLOCK
-    gen = np.random.Philox(key=seed)
-    gen.advance(first // _DRAWS_PER_BLOCK)
+    skip = first % 2  # the chunk may open on a word's high half
+    gen = np.random.PCG64DXSM(seed)
+    gen.advance(first // 2)
     words = gen.random_raw(-(-(skip + n_draws) // 2))
     # As little-endian bytes the low half of each word comes first; the
     # ``astype`` is a no-op on little-endian hosts.
@@ -258,7 +294,7 @@ def _chunk_cars(
         product = cars[lo : lo + _SLAB_ROWS]
         product.fill(1.0)  # 1.0 * x == x, so this start changes no bit
         for j, (table, modulus) in enumerate(columns):
-            product *= table[(slab[:, j] % np.uint32(modulus)).astype(np.intp)]
+            product *= table[_indices(slab[:, j], modulus)]
     cars -= 1.0
     return cars
 
@@ -288,6 +324,11 @@ def generate_distribution(
     pool_arr = np.asarray(pool, dtype=np.float64)
     if pool_arr.size == 0:
         raise ValueError("empty abnormal-return pool")
+    if pool_arr.size > MAX_POOL_DAYS:
+        raise ValueError(
+            f"pool of {pool_arr.size} days is longer than the {MAX_POOL_DAYS} "
+            f"the index mapping handles exactly"
+        )
     if not np.all(np.isfinite(pool_arr) & (pool_arr > -1.0)):
         raise ValueError("abnormal-return pool must be finite with no value <= -1")
     if spec.mode == "block" and pool_arr.size < spec.draws_k:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .bootstrap import (
     DEFAULT_N_SCENARIOS,
+    MAX_POOL_DAYS,
     ScenarioDistribution,
     ScenarioSpec,
     cumulative_abnormal_return,
@@ -159,8 +160,10 @@ class StudySettings:
                 f"thresholds must satisfy 0 < lo < hi < 100, "
                 f"got {self.threshold_lo}, {self.threshold_hi}"
             )
-        if self.estimation_days < 3:
-            raise ValueError(f"estimation_days must be >= 3, got {self.estimation_days}")
+        if not 3 <= self.estimation_days <= MAX_POOL_DAYS:
+            raise ValueError(
+                f"estimation_days must be in [3, {MAX_POOL_DAYS}], got {self.estimation_days}"
+            )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 

@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 
 from eventstudy.bootstrap import (
     _PAIR_POOL_LIMIT,
+    MAX_POOL_DAYS,
     Histogram,
     ScenarioDistribution,
     ScenarioSpec,
+    _chunk_cars,
+    _columns,
+    _indices,
     cumulative_abnormal_return,
     derive_seed,
     generate_distribution,
@@ -22,17 +26,18 @@ from eventstudy.bootstrap import (
 def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
     """Independent scalar re-derivation of every scenario's CAR.
 
-    Positions a fresh generator at the counter block holding each scenario's
-    first draw, splits the 64-bit words into 32-bit draws with shifts and
-    masks, and multiplies factors one by one — no chunking, no vectorised
-    gather, no reinterpreted memory, no table.  In iid mode a pool of at most
-    ``_PAIR_POOL_LIMIT`` days takes its days in pairs: draw ``u`` picks
-    ``(a, b) = divmod(u % (m*m), m)`` and multiplies in ``g[a] * g[b]``; an
-    odd ``k`` ends with one single draw ``u % m``.  A longer pool takes ``k``
-    single draws.  The engine must match this bit for bit.
+    Advances a fresh PCG64DXSM to the 64-bit word holding each scenario's
+    first draw, splits the words into 32-bit draws with shifts and masks,
+    maps each draw ``u`` below a modulus ``M`` as ``(u * M) >> 32`` in Python
+    integers, and multiplies factors one by one — no chunking, no vectorised
+    gather, no reinterpreted memory, no float index, no table.  In iid mode a
+    pool of at most ``_PAIR_POOL_LIMIT`` days takes its days in pairs: draw
+    ``u`` picks ``(a, b) = divmod((u * m*m) >> 32, m)`` and multiplies in
+    ``g[a] * g[b]``; an odd ``k`` ends with one single draw.  A longer pool
+    takes ``k`` single draws.  The engine must match this bit for bit.
     """
-    gross = 1.0 + np.asarray(pool, dtype=float)
-    pool_len = gross.size
+    gross = [1.0 + float(x) for x in pool]
+    pool_len = len(gross)
     k = spec.draws_k
     paired = spec.mode == "iid" and pool_len <= _PAIR_POOL_LIMIT
     if spec.mode == "block":
@@ -41,12 +46,16 @@ def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
         per_scenario = k // 2 + k % 2
     else:
         per_scenario = k
+
+    def index(u: int, modulus: int) -> int:
+        return (u * modulus) >> 32
+
     cars = np.empty(spec.n_scenarios)
     for i in range(spec.n_scenarios):
         first = i * per_scenario
-        skip = first % 8  # one Philox 4x64 block: four 64-bit words, eight draws
-        gen = np.random.Philox(key=spec.seed)
-        gen.advance(first // 8)
+        skip = first % 2  # one 64-bit word holds two draws
+        gen = np.random.PCG64DXSM(spec.seed)
+        gen.advance(first // 2)
         words = [int(w) for w in gen.random_raw(-(-(skip + per_scenario) // 2))]
         draws = [
             words[q // 2] >> 32 if q % 2 else words[q // 2] & 0xFFFFFFFF
@@ -57,15 +66,15 @@ def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
             days_left = k
             for u in draws:
                 if paired and days_left >= 2:
-                    a, b = divmod(u % (pool_len * pool_len), pool_len)
+                    a, b = divmod(index(u, pool_len * pool_len), pool_len)
                     product *= gross[a] * gross[b]
                     days_left -= 2
                 else:
-                    product *= gross[u % pool_len]
+                    product *= gross[index(u, pool_len)]
                     days_left -= 1
             assert days_left == 0
         else:
-            start = draws[0] % (pool_len - k + 1)
+            start = index(draws[0], pool_len - k + 1)
             for j in range(start, start + k):
                 product *= gross[j]
         cars[i] = product - 1.0
@@ -159,6 +168,38 @@ class TestEngineMatchesScalarOracle:
         long_spec = ScenarioSpec(draws_k=draws, n_scenarios=5_000, seed=41, mode=mode)
         short_spec = ScenarioSpec(draws_k=draws, n_scenarios=1_000, seed=41, mode=mode)
         assert_engine_matches(pool, short_spec, rederive_cars(pool, long_spec)[:1_000])
+
+
+class TestIndexMapping:
+    @pytest.mark.parametrize("modulus", [1, 2, 3, 199, 200, 40_000, 512**2, 2**21])
+    def test_float_form_is_the_exact_multiply_shift(self, modulus):
+        # Index j starts at the cut point ceil(j * 2**32 / M); the float form
+        # must land every cut point and the draw just below it on the same
+        # side as the integer definition, and never reach M.
+        if modulus <= 40_000:
+            js = np.arange(1, modulus)
+        else:
+            js = np.random.default_rng(modulus).integers(1, modulus, size=20_000)
+        cuts = [-(-(int(j) << 32) // modulus) for j in js]
+        draws = sorted({0, 2**32 - 1, *cuts, *(c - 1 for c in cuts)})
+        mapped = _indices(np.array(draws, dtype=np.uint32), modulus)
+        assert mapped.tolist() == [(u * modulus) >> 32 for u in draws]
+        assert int(mapped.max()) < modulus
+
+
+class TestChunkPositioning:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        draws_k=st.sampled_from([2, 3, 5, 12]),  # 1, 2, 3 and 6 draws per scenario
+        start=st.integers(min_value=0, max_value=1_500),
+        count=st.integers(min_value=1, max_value=500),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_any_chunk_is_a_slice_of_the_whole_range(self, pool, draws_k, start, count, seed):
+        # An odd draw offset opens a chunk on a word's high half.
+        columns = _columns(1.0 + pool, ScenarioSpec(draws_k=draws_k))
+        whole = _chunk_cars(columns, seed, 0, start + count)
+        assert np.array_equal(_chunk_cars(columns, seed, start, count), whole[start:])
 
 
 class TestDeterminism:
@@ -290,6 +331,11 @@ class TestValidation:
         spec = ScenarioSpec(draws_k=5, n_scenarios=10, mode="block")
         with pytest.raises(ValueError, match="too short"):
             generate_distribution(np.array([0.01, 0.02]), spec)
+
+    def test_pool_past_the_exact_mapping_rejected(self):
+        spec = ScenarioSpec(draws_k=1, n_scenarios=10)
+        with pytest.raises(ValueError, match="longer than"):
+            generate_distribution(np.zeros(MAX_POOL_DAYS + 1), spec)
 
     def test_bad_worker_and_chunk_counts(self):
         spec = ScenarioSpec(draws_k=2, n_scenarios=10)

@@ -26,12 +26,12 @@ EVENT_INDEX = 230
 N_SCENARIOS = 150_000
 
 REPORT_SHA256 = {
-    ("iid", "csv"): "5903f1caee0c16a0042a1a07e22d63a1c41150300e378f047389430158183b8a",
-    ("iid", "json"): "c31d3833f05496d6f45fde9624cfb53f51993c45c917ced8deef671b0d232be4",
-    ("block", "csv"): "59f133a8a349eb89810a35306dac158d1b675c2da2ae930952734c8a3385a4cc",
-    ("block", "json"): "6f24c197d0f84a59bc84a296cae669a2bb8782cdc05f89914e7943c06e882c29",
+    ("iid", "csv"): "0bae6c3723c5fdc314d8a49ddd4a5e8a7784a29fb6b1a9aa424306ddf5a255a0",
+    ("iid", "json"): "f8a2c2e54cb71f0bed2c7e88fec70e9de5c42d57b0d15bfcf84ee3617f7b7640",
+    ("block", "csv"): "f70b86f9c0a1dcd3f40e760bef9c5f2e0ba80c2183537424450e5c1df9b527a2",
+    ("block", "json"): "09913dc1facddab8597619cfa7450a5b291617ddaacf2a83e1fab42d6e9cc42f",
 }
-HISTOGRAM_SHA256 = "2b4caed721890142c3c422a4f67d864c9f7d0b4dcadac7fe313b970f159eab67"
+HISTOGRAM_SHA256 = "d93a36200b5fc45f273920ab696454a162ea94316dbbc09aa06c0326c09fb6d9"
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ def test_report_bytes_are_pinned(golden_universe, mode, fmt, workers):
         "mode": mode, "format": fmt, "workers": str(workers), "output": str(output),
     }))
     assert outcome.errors == []
-    assert {row.generator for row in outcome.rows} == {"philox4x64-u32-pairs"}
+    assert {row.generator for row in outcome.rows} == {"pcg64dxsm-u32-mulshift-pairs"}
     assert _sha256(output) == REPORT_SHA256[mode, fmt]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eventstudy import StudySettings, event_scenario_distribution, run_event_study
-from eventstudy.bootstrap import GENERATOR, percentile_of
+from eventstudy.bootstrap import GENERATOR, MAX_POOL_DAYS, percentile_of
 from eventstudy.errors import HistoryError
 from eventstudy.inference import (
     STANDARD_WINDOWS,
@@ -116,6 +116,7 @@ class TestStudySettings:
             {"n_scenarios": 0},
             {"mode": "jackknife"},
             {"estimation_days": 2},
+            {"estimation_days": MAX_POOL_DAYS + 1},
             {"workers": 0},
         ],
     )

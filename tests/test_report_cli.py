@@ -18,7 +18,7 @@ from eventstudy.config import load_run_config
 from eventstudy.errors import ConfigError, DataFormatError
 from eventstudy.inference import classify_impact
 from eventstudy.ingest import PriceSeries, align, load_price_series
-from eventstudy.bootstrap import GENERATOR, ScenarioSpec, generate_distribution
+from eventstudy.bootstrap import GENERATOR, MAX_POOL_DAYS, ScenarioSpec, generate_distribution
 from eventstudy.report import REPORT_COLUMNS, emit_histogram, run
 
 from .conftest import (
@@ -511,6 +511,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
         assert not (universe.tmp / "h.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "histogram"])
+    def test_estimation_past_the_longest_pool_exit_two(self, universe, capsys, command):
+        # A longer pool would be rejected mid-run by the generator; the
+        # setting is refused up front, before any file is written.
+        with universe.config.open("a", encoding="utf-8") as handle:
+            handle.write(f"estimation_days = {MAX_POOL_DAYS + 1}\n")
+        out = universe.tmp / "out.csv"
+        argv = ["--config", str(universe.config), "--out", str(out)]
+        if command == "histogram":
+            argv += ["--event", "acme", "--window", "[-1,0]"]
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "estimation_days" in err
+        assert list(universe.tmp.glob("out.csv*")) == []
 
     def test_run_extreme_price_fails_only_its_event(self, universe, capsys):
         day = _give_acme_a_tiny_close(universe)
