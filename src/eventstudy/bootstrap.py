@@ -159,10 +159,6 @@ class Histogram:
         if edges.size != counts.size + 1:
             raise ValueError(f"{edges.size} edges for {counts.size} bins")
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class ScenarioDistribution:

@@ -90,8 +90,7 @@ def _coerce(key: str, raw: str, base_dir: Path | None) -> object:
     try:
         return kind(raw)
     except ValueError as exc:
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from exc
+        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
 
 
 def load_run_config(

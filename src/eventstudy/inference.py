@@ -6,10 +6,8 @@ window the pipeline compares the observed cumulative abnormal return
 against a resampled no-impact distribution of the same length and
 classifies the event:
 
-* ``Negative`` — the CAR is below zero *and* sits below the low percentile
-  threshold (default 10th).
-* ``Positive`` — the CAR is above zero *and* sits above the high threshold
-  (default 90th).
+* ``Negative`` — the CAR is below zero *and* sits below the 10th percentile.
+* ``Positive`` — the CAR is above zero *and* sits above the 90th percentile.
 * ``None`` — everything else; the move is within the ordinary noise.
 
 Both conditions are strict: landing exactly on a threshold is not enough.
@@ -18,7 +16,6 @@ Both conditions are strict: landing exactly on a threshold is not enough.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +30,6 @@ from .bootstrap import (
     generate_distribution,
     percentile_of,
 )
-from .errors import ConfigError
 from .ingest import EventRecord, PriceSeries, align, resolve_event_day
 from .model import (
     DEFAULT_ESTIMATION_DAYS,
@@ -100,41 +96,30 @@ STANDARD_WINDOWS: tuple[EventWindow, ...] = (
     EventWindow(10),
 )
 
-_LABEL_PATTERN = re.compile(r"\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]")
-
 
 def parse_window_label(label: str) -> EventWindow:
-    """Parse a window label like ``[-1,5]`` back into an :class:`EventWindow`."""
-    match = _LABEL_PATTERN.fullmatch(label.strip())
-    if not match:
-        raise ValueError(f"unparsable window label {label!r} (expected like '[-1,5]')")
-    start, end = int(match.group(1)), int(match.group(2))
-    if start != -1:
+    """The standard window labelled ``label``, ignoring whitespace."""
+    windows = {window.label: window for window in STANDARD_WINDOWS}
+    try:
+        return windows["".join(label.split())]
+    except KeyError:
         raise ValueError(
-            f"window label {label!r} starts at {start}: event windows open the day "
-            f"before the announcement, at -1"
-        )
-    return EventWindow(end_offset=end)
+            f"unknown window label {label!r} (expected one of {', '.join(windows)})"
+        ) from None
 
 
-def classify_impact(
-    car: float, percentile: float, threshold_lo: float = 10.0, threshold_hi: float = 90.0
-) -> Impact:
-    """Apply the two-sided percentile decision rule to one window.
+def classify_impact(car: float, percentile: float) -> Impact:
+    """Apply the two-sided 10th/90th percentile decision rule to one window.
 
-    Sign and rank must agree: a negative CAR in the extreme low tail is
-    ``Negative``, a positive CAR in the extreme high tail is ``Positive``,
-    anything else — including ties with a threshold — is ``None``.
+    Sign and rank must agree: a negative CAR below the 10th percentile is
+    ``Negative``, a positive CAR above the 90th is ``Positive``, anything
+    else — including ties with a cut — is ``None``.
     """
-    if not 0.0 < threshold_lo < threshold_hi < 100.0:
-        raise ValueError(
-            f"thresholds must satisfy 0 < lo < hi < 100, got {threshold_lo}, {threshold_hi}"
-        )
     if not 0.0 <= percentile <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {percentile}")
-    if car < 0.0 and percentile < threshold_lo:
+    if car < 0.0 and percentile < 10.0:
         return Impact.NEGATIVE
-    if car > 0.0 and percentile > threshold_hi:
+    if car > 0.0 and percentile > 90.0:
         return Impact.POSITIVE
     return Impact.NONE
 
@@ -146,8 +131,6 @@ class StudySettings:
     n_scenarios: int = DEFAULT_N_SCENARIOS
     seed: int = 0
     mode: str = "iid"
-    threshold_lo: float = 10.0
-    threshold_hi: float = 90.0
     estimation_days: int = DEFAULT_ESTIMATION_DAYS
     workers: int = 1
 
@@ -155,14 +138,15 @@ class StudySettings:
         # ScenarioSpec re-validates n_scenarios/seed/mode later; checking here
         # means a bad setting fails at construction, not mid-run.
         ScenarioSpec(draws_k=1, n_scenarios=self.n_scenarios, seed=self.seed, mode=self.mode)
-        if not 0.0 < self.threshold_lo < self.threshold_hi < 100.0:
-            raise ValueError(
-                f"thresholds must satisfy 0 < lo < hi < 100, "
-                f"got {self.threshold_lo}, {self.threshold_hi}"
-            )
         if not 3 <= self.estimation_days <= MAX_POOL_DAYS:
             raise ValueError(
                 f"estimation_days must be in [3, {MAX_POOL_DAYS}], got {self.estimation_days}"
+            )
+        longest = STANDARD_WINDOWS[-1].n_days
+        if self.mode == "block" and self.estimation_days < longest:
+            raise ValueError(
+                f"block mode resamples runs of {longest} consecutive estimation days, "
+                f"but estimation_days is {self.estimation_days}"
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -194,11 +178,6 @@ def _prepare_event(
     offset -1 to the end of ``longest``.  Every window opens at -1, so a
     window's returns are the first ``window.n_days`` of these.
     """
-    if settings.mode == "block" and settings.estimation_days < longest.n_days:
-        raise ConfigError(
-            f"block mode resamples runs of {longest.n_days} consecutive estimation days, "
-            f"but estimation_days is {settings.estimation_days}"
-        )
     aligned = align(stock, market)
     event_index = resolve_event_day(
         event,
@@ -264,9 +243,7 @@ def run_event_study(
                 window=window,
                 car=car,
                 percentile=percentile,
-                impact=classify_impact(
-                    car, percentile, settings.threshold_lo, settings.threshold_hi
-                ),
+                impact=classify_impact(car, percentile),
                 car_additive=float(additive[: window.n_days].sum()),
                 settings=settings,
             )

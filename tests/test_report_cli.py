@@ -6,7 +6,8 @@ import csv
 import json
 import re
 import shutil
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
+from datetime import date
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,10 +17,10 @@ from eventstudy import StudySettings
 from eventstudy.cli import main
 from eventstudy.config import load_run_config
 from eventstudy.errors import ConfigError, DataFormatError
-from eventstudy.inference import classify_impact
-from eventstudy.ingest import PriceSeries, align, load_price_series
+from eventstudy.inference import STANDARD_WINDOWS, EventResult, Impact, classify_impact
+from eventstudy.ingest import EventRecord, PriceSeries, align, load_price_series
 from eventstudy.bootstrap import GENERATOR, MAX_POOL_DAYS, ScenarioSpec, generate_distribution
-from eventstudy.report import REPORT_COLUMNS, emit_histogram, run
+from eventstudy.report import REPORT_COLUMNS, ReportRow, emit_histogram, run
 
 from .conftest import (
     FIXTURES_DIR,
@@ -71,13 +72,15 @@ def universe(tmp_path):
     )
 
 
+#: Report columns computed from an event's prices rather than copied from
+#: its settings.
+RESULT_COLUMNS = ("car", "car_percentile", "impact", "car_additive")
+
 #: A non-default, valid config value for every study setting.
 SETTING_SAMPLES = {
     "n_scenarios": ("1234", 1234),
     "seed": ("42", 42),
     "mode": ("block", "block"),
-    "threshold_lo": ("12.5", 12.5),
-    "threshold_hi": ("80", 80.0),
     "estimation_days": ("150", 150),
     "workers": ("3", 3),
 }
@@ -175,10 +178,6 @@ class TestLoadRunConfig:
         assert value == expected
         assert type(value) is type(field.default)
 
-    def test_bad_number(self, universe):
-        with pytest.raises(ConfigError, match="threshold_lo: expected a number"):
-            load_run_config(universe.config, {"threshold_lo": "low"})
-
     def test_unknown_key_rejected(self, universe):
         universe.config.write_text("price_dir = p\nwhatever = 3\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="unknown key 'whatever'"):
@@ -198,10 +197,6 @@ class TestLoadRunConfig:
     def test_bad_integer(self, universe):
         with pytest.raises(ConfigError, match="n_scenarios: expected an integer"):
             load_run_config(universe.config, {"n_scenarios": "many"})
-
-    def test_bad_thresholds(self, universe):
-        with pytest.raises(ConfigError, match="thresholds"):
-            load_run_config(universe.config, {"threshold_lo": "95", "threshold_hi": "5"})
 
     def test_bad_format(self, universe):
         with pytest.raises(ConfigError, match="format"):
@@ -369,6 +364,24 @@ class TestRun:
         header = outcome.report_path.read_text(encoding="utf-8").splitlines()[0]
         assert "elapsed" not in header and "scenarios_per_second" not in header
 
+    @pytest.mark.parametrize(
+        "field", [f for f in fields(StudySettings) if f.name != "workers"], ids=lambda f: f.name
+    )
+    def test_every_setting_shows_in_the_report(self, field):
+        # A setting that can change a result must be readable from the row
+        # it produced.  workers cannot: tests/test_golden.py pins its bytes.
+        def provenance(settings):
+            result = EventResult(
+                EventRecord("acme", date(2014, 11, 25)), STANDARD_WINDOWS[0],
+                car=0.01, percentile=50.0, impact=Impact.NONE, car_additive=0.01,
+                settings=settings,
+            )
+            row = asdict(ReportRow.from_result(result))
+            return {key: row[key] for key in row if key not in RESULT_COLUMNS}
+
+        sample = replace(StudySettings(), **{field.name: SETTING_SAMPLES[field.name][1]})
+        assert provenance(sample) != provenance(StudySettings())
+
 
 class TestCli:
     def test_run_success_exit_zero(self, universe, capsys):
@@ -478,27 +491,38 @@ class TestCli:
         assert "ambiguous" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        ("label", "message"),
-        [("week", "unparsable window label"), ("[0,5]", "starts at 0")],
-        ids=["week", "start-0"],
+        "label", ["week", "[0,5]", "[-1,4]"], ids=["week", "start-0", "nonstandard-end"]
     )
-    def test_histogram_bad_window_exit_two(self, universe, capsys, label, message):
+    def test_histogram_bad_window_exit_two(self, universe, capsys, label):
+        # Only the five windows a report judges have a histogram to show.
+        out = universe.tmp / "h.csv"
         code = main([
             "histogram", "--config", str(universe.config),
-            "--event", "acme", "--window", label, "--out", "x.csv",
+            "--event", "acme", "--window", label, "--out", str(out),
         ])
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: unknown window label {label!r}")
+        assert not out.exists()
 
     def test_run_block_mode_short_estimation_fails_every_event(self, universe, capsys):
+        # Such a run would fail every event, so both commands refuse the
+        # config before any event is judged or any file is written.
         with universe.config.open("a", encoding="utf-8") as handle:
             handle.write("mode = block\nestimation_days = 8\n")
-        assert main(["run", "--config", str(universe.config)]) == 1
-        partial = universe.tmp / "report.csv.partial"
-        assert partial.read_text(encoding="utf-8") == ",".join(REPORT_COLUMNS) + "\n"
-        failures = capsys.readouterr().err.splitlines()
-        assert len(failures) == 2
-        assert all("estimation_days is 8" in line for line in failures)
+        out = universe.tmp / "out.csv"
+        assert main(["run", "--config", str(universe.config), "--out", str(out)]) == 2
+        assert main([
+            "histogram", "--config", str(universe.config),
+            "--event", "acme", "--window", "[-1,0]", "--out", str(out),
+        ]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2
+        assert all(
+            line.startswith("configuration error: ") and "estimation_days is 8" in line
+            for line in errors
+        )
+        assert list(universe.tmp.glob("out.csv*")) == []
 
     def test_histogram_block_mode_short_estimation_exit_two(self, universe, capsys):
         with universe.config.open("a", encoding="utf-8") as handle:
