@@ -14,12 +14,26 @@ Two resampling modes are supported:
 * ``block`` — one draw picks a start day and the scenario takes ``k``
   consecutive pool days, preserving short-range dependence.
 
+One scenario serves every window
+--------------------------------
+A scenario is ``spec.draws_k`` days long, and a window of ``k <= draws_k``
+days reads the CAR of the scenario's first ``k`` days.  An event's windows
+all open on the same day, so one call with ``draws_k`` set to the longest
+window generates each scenario once and reads every window off it.  Each
+window's distribution has exactly the law it would have from a stream of
+its own; only the estimates of one event's windows become dependent, as
+common random numbers (Glasserman 2004, "Monte Carlo Methods in Financial
+Engineering").  Each window is judged on its own and no report field
+compares or combines windows, so nothing relies on independence across
+windows.
+
 Determinism and scale
 ---------------------
 Distributions run to millions of scenarios, so CARs are never stored.
-Instead the generator streams chunks and keeps only reductions: exact
-below/equal counts for registered reference values, the observed min/max,
-and (optionally) fixed-bin histogram counts.
+Instead the generator streams chunks, compounds them in slabs of rows, and
+keeps only each window's reductions, slab by slab: exact below/equal counts
+for registered reference values, the observed min/max, and (optionally)
+fixed-bin histogram counts.
 
 Randomness comes from PCG64DXSM (O'Neill's permuted congruential generator
 with the "double xorshift multiply" output), keyed with ``spec.seed`` through
@@ -28,19 +42,19 @@ with the "double xorshift multiply" output), keyed with ``spec.seed`` through
 Scenario ``i`` uses the ``d`` draws ``u_{i*d} ... u_{i*d+d-1}``; nothing is
 padded, so the first ``n`` scenarios are the same for any ``n_scenarios``.
 A chunk positions itself with ``advance`` at the word that holds its first
-draw, so the resulting distribution is a pure function of (pool, spec,
+draw, so the resulting distributions are a pure function of (pool, spec,
 references, histogram_bins) — chunk size and worker count cannot change a
-single bit of it.
+single bit of them.
 
-Why these streams are independent enough: every (event, window) pair has its
-own 64-bit seed (``derive_seed``), and ``SeedSequence`` hashes that seed into
-both the 128-bit starting state and the increment of the underlying
-congruential generator.  Two windows share an increment with a chance of
-about 2**-127, and even then their streams overlap only if their starts lie
-within a window's few tens of millions of words of each other on a period of
-2**128.  Streams with different increments are affine images of one another;
-the DXSM output permutation is built to hide that relation, which is why
-numpy recommends it over PCG64's XSL-RR output for many parallel streams.
+Why these streams are independent enough: every event has its own 64-bit
+seed (``derive_seed``), and ``SeedSequence`` hashes that seed into both the
+128-bit starting state and the increment of the underlying congruential
+generator.  Two events share an increment with a chance of about 2**-127,
+and even then their streams overlap only if their starts lie within an
+event's few tens of millions of words of each other on a period of 2**128.
+Streams with different increments are affine images of one another; the
+DXSM output permutation is built to hide that relation, which is why numpy
+recommends it over PCG64's XSL-RR output for many parallel streams.
 ``advance(n)`` jumps the congruential state by exactly ``n`` steps in
 O(log n) multiplications (Brown's arbitrary-stride method), so a chunk reads
 the very words that one pass over the whole stream would have read.
@@ -52,14 +66,20 @@ multiply-shift, ``floor(u * M / 2**32)``, computed as a float64 product with
 ``MAX_POOL_DAYS`` (``2**21``) days long and a longer one is rejected.
 
 In iid mode, with ``m`` pool days and gross returns ``g = 1 + pool``, the
-draws are taken two pool days at a time: ``d = k // 2 + k % 2``.  Each of the
-first ``k // 2`` draws maps to an index ``p < m**2``, picks the ordered pair
-``(a, b) = divmod(p, m)`` and contributes the pair product
-``fl(g[a] * g[b])``, read from a table of all ``m**2`` products built once per
-distribution (320 KB at ``m = 200``).  When ``k`` is odd, one last draw picks
-a single day below ``m``.  In block mode ``d = 1``: the draw picks a start
-below ``m - k + 1`` and the scenario compounds the ``k`` consecutive days
-from there.  The factors are multiplied in draw order.
+draws are taken two pool days at a time: ``d = K // 2 + K % 2`` for a
+``K``-day scenario (6 for an event's 12 days).  Each draw maps to an index
+``p < m**2``, picks the ordered pair ``(a, b) = divmod(p, m)`` and
+contributes the pair product ``fl(g[a] * g[b])``, read from a table of all
+``m**2`` products built once per call (320 KB at ``m = 200``).  An even
+window ``k`` is the product of the first ``k // 2`` pair factors.  An odd
+window multiplies the first ``k // 2`` pair factors by ``g[floor(u * m /
+2**32)]``, where ``u`` is the next pair's draw.  Because ``floor(floor(u *
+m**2 / 2**32) / m) == floor(u * m / 2**32)``, that day is the next pair's
+first day ``a``: uniform, independent of the prefix, and no extra draw.
+In block mode ``d = 1``: window ``k`` maps the scenario's one draw to a
+start below ``m - k + 1``, its own modulus, and compounds the ``k``
+consecutive days from there, so each window's start is uniform on its own
+range.  The factors are multiplied in draw order.
 
 Because ``2**32`` is not a multiple of a modulus ``M``, the multiply-shift
 gives some indices one more draw value than others, so one index's
@@ -67,8 +87,8 @@ probability can exceed another's by a factor of at most ``1 + M / 2**32``:
 about 1 + 9.3e-6 for a pair draw on a 200-day pool (7,296 of its 40,000
 pairs are that much likelier than the rest) and 1 + 5e-8 for a single draw.
 To keep the pair bound at 1 + 6.1e-5 and the table at 2 MB, a pool longer
-than ``_PAIR_POOL_LIMIT`` (512) days takes ``k`` single draws instead
-(``d = k``), through the same table-and-index loop.
+than ``_PAIR_POOL_LIMIT`` (512) days takes ``K`` single draws instead
+(``d = K``), and window ``k`` reads the product of the first ``k``.
 """
 
 from __future__ import annotations
@@ -76,7 +96,7 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
@@ -102,7 +122,7 @@ DEFAULT_CHUNK_SIZE = 1 << 17
 
 #: Names the stream definition above; reports carry it so that a change to
 #: the stream shows as a different tag rather than silently different numbers.
-GENERATOR = "pcg64dxsm-u32-mulshift-pairs"
+GENERATOR = "pcg64dxsm-u32-mulshift-event"
 
 #: Longest pool the index mapping handles exactly: a draw times a modulus of
 #: at most this many days stays below 2**53, where float64 is still exact.
@@ -218,36 +238,59 @@ def cumulative_abnormal_return(abnormal_returns: Iterable[float] | np.ndarray) -
 def derive_seed(root_seed: int, *components: str) -> int:
     """Derive a stable 64-bit stream key from a root seed and text labels.
 
-    Hashing (root seed, labels...) gives every (event, window) pair its own
-    independent generator stream while keeping the whole run reproducible
-    from one root seed.
+    Hashing (root seed, event key) gives every event its own generator
+    stream, which all of its windows read, while keeping the whole run
+    reproducible from one root seed.
     """
     payload = "\x1f".join([str(int(root_seed)), *components]).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def _columns(pool_gross: np.ndarray, spec: ScenarioSpec) -> list[tuple[np.ndarray, int]]:
-    """The ``(table, modulus)`` behind each of a scenario's draws, in draw order.
+# One factor of a window's CAR: ``(column, modulus, table, carry, window)``.
+_Factor = tuple[int, int, np.ndarray, bool, int | None]
 
-    Draw ``u`` contributes the factor ``table[_indices(u, modulus)]``; the
-    tables are built once per distribution and shared by every chunk and thread.
+
+def _factors(
+    pool_gross: np.ndarray, spec: ScenarioSpec, windows: Iterable[int]
+) -> tuple[int, list[_Factor]]:
+    """The draws per scenario, and the factors that compound each of ``windows``.
+
+    Factor ``(column, modulus, table, carry, window)`` reads the scenario's
+    draw ``u`` in ``column`` and forms ``value = product *
+    table[_indices(u, modulus)]``, ``product`` being the running product
+    carried so far (none before the first).  ``window``, when set, is the
+    window whose CAR is ``value - 1``; ``carry`` makes ``value`` the running
+    product of the factors after it.  The tables are built once per call and
+    shared by every chunk and thread.
     """
     m = pool_gross.size
-    k = spec.draws_k
+    windows = sorted(set(windows))
     if spec.mode == "block":
-        # Every scenario starting at day s multiplies the same k factors in
-        # the same order, so each start's product is formed once, day by day.
-        n_starts = m - k + 1
-        runs = pool_gross[:n_starts].copy()
-        for j in range(1, k):
-            runs *= pool_gross[j : j + n_starts]
-        return [(runs, n_starts)]
+        factors = []
+        for k in windows:
+            # Every scenario starting at day s multiplies the same k factors
+            # in the same order, so each start's product is formed once.
+            n_starts = m - k + 1
+            runs = pool_gross[:n_starts].copy()
+            for j in range(1, k):
+                runs *= pool_gross[j : j + n_starts]
+            factors.append((0, n_starts, runs, False, k))
+        return 1, factors
     span = 2 if m <= _PAIR_POOL_LIMIT else 1  # pool days per draw
     # Entry a*m + b of the pair table is g[a] * g[b], so an index below m**2
     # picks (a, b).
     table = np.multiply.outer(pool_gross, pool_gross).ravel() if span == 2 else pool_gross
-    return [(table, m**span)] * (k // span) + [(pool_gross, m)] * (k % span)
+    factors = []
+    for column in range(-(-windows[-1] // span)):
+        days = column * span
+        if span == 2 and days + 1 in windows:
+            # The pair's first day, a = floor(u * m / 2**32) exactly.
+            factors.append((column, m, pool_gross, False, days + 1))
+        if days + span <= windows[-1]:
+            window = days + span if days + span in windows else None
+            factors.append((column, m**span, table, True, window))
+    return -(-spec.draws_k // span), factors
 
 
 def _indices(draws: np.ndarray, modulus: int) -> np.ndarray:
@@ -260,19 +303,19 @@ def _indices(draws: np.ndarray, modulus: int) -> np.ndarray:
     return np.multiply(draws, modulus * 2.0**-32, dtype=np.float64).astype(np.intp)
 
 
-def _chunk_cars(
-    columns: list[tuple[np.ndarray, int]],
+def _window_cars(
+    factors: list[_Factor],
+    per_scenario: int,
     seed: int,
     start: int,
     count: int,
-) -> np.ndarray:
-    """Generate the CARs of scenarios ``[start, start + count)``.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(window, cars)`` for scenarios ``[start, start + count)``, slab by slab.
 
-    Depends only on (columns, seed, start, count): the generator is advanced
-    to the word holding the chunk's first draw, so any partition of the
-    scenario range into chunks yields the same per-scenario values.
+    Depends only on the arguments: the generator is advanced to the word
+    holding the chunk's first draw, so any partition of the scenario range
+    into chunks yields the same per-scenario values.
     """
-    per_scenario = len(columns)
     first = start * per_scenario
     n_draws = count * per_scenario
     skip = first % 2  # the chunk may open on a word's high half
@@ -284,15 +327,18 @@ def _chunk_cars(
     draws = words.astype("<u8", copy=False).view("<u4")[skip : skip + n_draws]
     draws = draws.reshape(count, per_scenario)
 
-    cars = np.empty(count)
     for lo in range(0, count, _SLAB_ROWS):
         slab = draws[lo : lo + _SLAB_ROWS]
-        product = cars[lo : lo + _SLAB_ROWS]
-        product.fill(1.0)  # 1.0 * x == x, so this start changes no bit
-        for j, (table, modulus) in enumerate(columns):
-            product *= table[_indices(slab[:, j], modulus)]
-    cars -= 1.0
-    return cars
+        product = None
+        for column, modulus, table, carry, window in factors:
+            # ``take`` gathers the same values as ``table[...]``, faster.
+            value = table.take(_indices(slab[:, column], modulus))
+            if product is not None:
+                value *= product  # products commute: bit for bit product * factor
+            if window is not None:
+                yield window, value - 1.0
+            if carry:
+                product = value
 
 
 def _chunk_bounds(n: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -303,19 +349,24 @@ def generate_distribution(
     pool: Iterable[float] | np.ndarray,
     spec: ScenarioSpec,
     *,
-    references: Iterable[float] = (),
+    references: Iterable[float] | Mapping[int, Iterable[float]] = (),
     histogram_bins: int | None = None,
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> ScenarioDistribution:
-    """Stream ``spec.n_scenarios`` synthetic CARs into an exact summary.
+) -> ScenarioDistribution | dict[int, ScenarioDistribution]:
+    """Stream ``spec.n_scenarios`` synthetic scenarios into exact per-window summaries.
 
     ``references`` are the values whose below/equal counts must be exact
-    (typically the observed event-window CAR).  ``histogram_bins`` adds a
-    fixed-bin histogram spanning the observed range; it costs a second
-    generation pass, which is cheap and keeps the summary exact.
-    ``workers`` and ``chunk_size`` are purely operational knobs — the
-    result is bit-for-bit identical for any setting of either.
+    (typically an observed event-window CAR).  Given as plain values, they
+    belong to the ``spec.draws_k``-day window and one distribution is
+    returned.  Given as a mapping from window length ``k`` (at most
+    ``spec.draws_k``) to values, each window reads the first ``k`` days of
+    the same scenarios and a dict of one distribution per key is returned.
+    ``histogram_bins`` adds to each distribution a fixed-bin histogram
+    spanning its observed range; it costs a second generation pass, which is
+    cheap and keeps the summary exact.  ``workers`` and ``chunk_size`` are
+    purely operational knobs — the result is bit-for-bit identical for any
+    setting of either.
     """
     pool_arr = np.asarray(pool, dtype=np.float64)
     if pool_arr.size == 0:
@@ -338,66 +389,89 @@ def generate_distribution(
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if histogram_bins is not None and histogram_bins < 1:
         raise ValueError(f"histogram_bins must be >= 1, got {histogram_bins}")
+    by_window = isinstance(references, Mapping)
+    requested = references if by_window else {spec.draws_k: references}
+    if not requested or not all(1 <= k <= spec.draws_k for k in requested):
+        raise ValueError(
+            f"windows must be between 1 and {spec.draws_k} days, got {sorted(requested)}"
+        )
 
-    refs = tuple(sorted({float(v) for v in references}))
-    columns = _columns(1.0 + pool_arr, spec)
+    refs = {k: tuple(sorted({float(v) for v in values})) for k, values in requested.items()}
+    pool_gross = 1.0 + pool_arr
     bounds = _chunk_bounds(spec.n_scenarios, chunk_size)
 
-    def over_chunks(reduce: Callable[[np.ndarray], _T]) -> list[_T]:
-        """Generate every chunk's CARs and reduce each, serially or on threads."""
+    def over_chunks(
+        windows: Iterable[int],
+        summarize: Callable[[int, np.ndarray], _T],
+        combine: Callable[[_T, _T], _T],
+    ) -> dict[int, _T]:
+        """Summarize every slab of ``windows``' CARs as it is made, and combine
+        each window's summaries over every slab of every chunk."""
+        per_scenario, factors = _factors(pool_gross, spec, windows)
 
-        def one_chunk(bound: tuple[int, int]) -> _T:
+        def fold(totals: dict[int, _T], k: int, summary: _T) -> None:
+            totals[k] = combine(totals[k], summary) if k in totals else summary
+
+        def one_chunk(bound: tuple[int, int]) -> dict[int, _T]:
             lo, hi = bound
-            return reduce(_chunk_cars(columns, spec.seed, lo, hi - lo))
+            totals: dict[int, _T] = {}
+            for k, cars in _window_cars(factors, per_scenario, spec.seed, lo, hi - lo):
+                fold(totals, k, summarize(k, cars))
+            return totals
 
-        if workers == 1:
-            return [one_chunk(b) for b in bounds]
+        totals: dict[int, _T] = {}
+        # With one worker the chunks run in this thread and the executor
+        # starts none.
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            return list(pool_exec.map(one_chunk, bounds))
+            chunks = map(one_chunk, bounds) if workers == 1 else pool_exec.map(one_chunk, bounds)
+            for chunk in chunks:
+                for k, summary in chunk.items():
+                    fold(totals, k, summary)
+        return totals
 
-    def count(cars: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-        # Two compares per reference: a searchsorted + bincount pass costs
-        # 5.9 ms per 131k-scenario chunk against 0.24 ms for these with one
-        # reference, and wins only from about 100 references.
-        below = np.array([(cars < v).sum() for v in refs], dtype=np.int64)
-        equal = np.array([(cars == v).sum() for v in refs], dtype=np.int64)
+    def count(k: int, cars: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+        # Two compares per reference: on an 8,192-row slab (2-vCPU Xeon,
+        # numpy 2.4) a searchsorted + bincount pass costs about 150 us against
+        # 11 us for these with one reference, and wins only from about 200.
+        below = np.array([np.count_nonzero(cars < v) for v in refs[k]], dtype=np.int64)
+        equal = np.array([np.count_nonzero(cars == v) for v in refs[k]], dtype=np.int64)
         return below, equal, float(cars.min()), float(cars.max())
 
-    below_total = np.zeros(len(refs), dtype=np.int64)
-    equal_total = np.zeros(len(refs), dtype=np.int64)
-    min_car = np.inf
-    max_car = -np.inf
-    for below, equal, cmin, cmax in over_chunks(count):
-        below_total += below
-        equal_total += equal
-        min_car = min(min_car, cmin)
-        max_car = max(max_car, cmax)
+    def add_counts(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray, float, float]:
+        return a[0] + b[0], a[1] + b[1], min(a[2], b[2]), max(a[3], b[3])
 
-    histogram: Histogram | None = None
+    counted = over_chunks(refs, count, add_counts)
+    histograms: dict[int, Histogram] = {}
     if histogram_bins is not None:
-        if min_car == max_car:
-            histogram = Histogram(
-                edges=np.array([min_car, max_car]),
-                counts=np.array([spec.n_scenarios]),
+        edges = {}
+        for k, (_, _, min_car, max_car) in counted.items():
+            if min_car == max_car:
+                histograms[k] = Histogram(
+                    edges=np.array([min_car, max_car]),
+                    counts=np.array([spec.n_scenarios]),
+                )
+            else:
+                edges[k] = np.histogram_bin_edges(
+                    np.empty(0), bins=histogram_bins, range=(min_car, max_car)
+                )
+        if edges:
+            binned = over_chunks(
+                edges, lambda k, cars: np.histogram(cars, bins=edges[k])[0], np.add
             )
-        else:
-            edges = np.histogram_bin_edges(
-                np.empty(0), bins=histogram_bins, range=(min_car, max_car)
-            )
+            for k, counts in binned.items():
+                histograms[k] = Histogram(edges=edges[k], counts=counts)
 
-            def bin_counts(cars: np.ndarray) -> np.ndarray:
-                counts, _ = np.histogram(cars, bins=edges)
-                return counts.astype(np.int64)
-
-            histogram = Histogram(edges=edges, counts=sum(over_chunks(bin_counts)))
-
-    return ScenarioDistribution(
-        n=spec.n_scenarios,
-        min_car=float(min_car),
-        max_car=float(max_car),
-        references={v: (int(b), int(e)) for v, b, e in zip(refs, below_total, equal_total)},
-        histogram=histogram,
-    )
+    distributions = {
+        k: ScenarioDistribution(
+            n=spec.n_scenarios,
+            min_car=min_car,
+            max_car=max_car,
+            references={v: (int(b), int(e)) for v, b, e in zip(refs[k], below, equal)},
+            histogram=histograms.get(k),
+        )
+        for k, (below, equal, min_car, max_car) in counted.items()
+    }
+    return distributions if by_window else distributions[spec.draws_k]
 
 
 def percentile_of(distribution: ScenarioDistribution, value: float) -> float:

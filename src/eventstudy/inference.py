@@ -196,23 +196,30 @@ def _prepare_event(
     )
 
 
-def _window_distribution(
+def _event_distributions(
     pool: np.ndarray,
-    car: float,
+    cars: dict[int, float],
     event: EventRecord,
-    window: EventWindow,
     settings: StudySettings,
     histogram_bins: int | None = None,
-) -> ScenarioDistribution:
-    """The no-impact distribution of one (event, window), with ``car`` registered."""
+) -> dict[int, ScenarioDistribution]:
+    """The no-impact distribution of each window length in ``cars``, its CAR registered.
+
+    Every window reads a prefix of the same 12-day scenarios, drawn from the
+    event's one stream.
+    """
     spec = ScenarioSpec(
-        draws_k=window.n_days,
+        draws_k=STANDARD_WINDOWS[-1].n_days,
         n_scenarios=settings.n_scenarios,
-        seed=derive_seed(settings.seed, event.key, window.label),
+        seed=derive_seed(settings.seed, event.key),
         mode=settings.mode,
     )
     return generate_distribution(
-        pool, spec, references=(car,), histogram_bins=histogram_bins, workers=settings.workers
+        pool,
+        spec,
+        references={n_days: (car,) for n_days, car in cars.items()},
+        histogram_bins=histogram_bins,
+        workers=settings.workers,
     )
 
 
@@ -224,19 +231,27 @@ def run_event_study(
 ) -> list[EventResult]:
     """Judge one event over the five standard windows; all results or an exception.
 
-    Each window gets its own scenario distribution, seeded independently
-    from (root seed, event key, window label), so
-    :func:`event_scenario_distribution` reproduces any one window's numbers
-    on its own.  Any failure raises — a partial result list is never returned.
+    One stream, seeded from (root seed, event key), gives 12-day scenarios
+    whose first ``window.n_days`` days are each window's no-impact scenario,
+    all from one generation pass.  The five percentiles are therefore
+    common-random-numbers estimates: each has its window's exact law, and
+    only their Monte Carlo errors are correlated, which no result relies on.
+    A window's numbers depend only on the event and that window, so
+    :func:`event_scenario_distribution` reproduces any one of them on its
+    own.  Any failure raises — a partial result list is never returned.
     """
     pool, abnormal, additive = _prepare_event(
         event, stock, market, settings, STANDARD_WINDOWS[-1]
     )
+    cars = {
+        window.n_days: cumulative_abnormal_return(abnormal[: window.n_days])
+        for window in STANDARD_WINDOWS
+    }
+    distributions = _event_distributions(pool, cars, event, settings)
     results: list[EventResult] = []
     for window in STANDARD_WINDOWS:
-        car = cumulative_abnormal_return(abnormal[: window.n_days])
-        distribution = _window_distribution(pool, car, event, window, settings)
-        percentile = percentile_of(distribution, car)
+        car = cars[window.n_days]
+        percentile = percentile_of(distributions[window.n_days], car)
         results.append(
             EventResult(
                 event=event,
@@ -262,9 +277,13 @@ def event_scenario_distribution(
 ) -> tuple[ScenarioDistribution, float]:
     """The scenario distribution and observed CAR for one (event, window).
 
-    Uses the same seed derivation as :func:`run_event_study`, so the
-    distribution examined here is the one the study actually used.
+    Reads the same stream and scenarios as :func:`run_event_study`, so the
+    distribution examined here is the one the study actually used; only
+    this window is compounded.
     """
     pool, abnormal, _ = _prepare_event(event, stock, market, settings, window)
     car = cumulative_abnormal_return(abnormal)
-    return _window_distribution(pool, car, event, window, settings, histogram_bins), car
+    distributions = _event_distributions(
+        pool, {window.n_days: car}, event, settings, histogram_bins
+    )
+    return distributions[window.n_days], car

@@ -1,8 +1,9 @@
 """The program surface the traced benchmark run patches and calls.
 
 ``benchmark/traced_cli.py`` replaces the functions listed in its
-``WRAPPED`` table at the names their callers look up, and
-``benchmark/speedup.py`` calls ``generate_distribution`` with ``workers``.
+``WRAPPED`` table at the names their callers look up and counts one
+``bootstrap.generate`` span per call, and ``benchmark/speedup.py`` calls
+``generate_distribution`` with a plain references tuple and ``workers``.
 A rename or a changed call shape in ``src/`` would break those runs
 without failing any other test.
 """
@@ -14,11 +15,12 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eventstudy.inference as inference
-from eventstudy import StudySettings, event_scenario_distribution
-from eventstudy.bootstrap import ScenarioSpec, generate_distribution
+from eventstudy import StudySettings, event_scenario_distribution, run_event_study
+from eventstudy.bootstrap import ScenarioDistribution, ScenarioSpec, generate_distribution
 from eventstudy.ingest import EventRecord, align
 
 from .conftest import stock_from_market
@@ -67,3 +69,38 @@ def test_generate_call_shape_seen_by_the_tracer(market, monkeypatch):
     assert isinstance(args[1], ScenarioSpec)
     assert kwargs["histogram_bins"] == 7
     assert kwargs["workers"] == 2
+
+
+def test_one_twelve_day_generate_call_per_event(market, monkeypatch):
+    """``bootstrap.calls`` counts events: every window of an event comes from
+    one call whose spec, the tracer's second positional argument, spans the
+    longest window."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return generate_distribution(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "generate_distribution", recording)
+    event = EventRecord("stock", align(market, market).dates[230])
+    stock = stock_from_market(market)
+    results = run_event_study(event, stock, market, StudySettings(n_scenarios=500))
+    assert len(results) == len(inference.STANDARD_WINDOWS)
+    (args,) = calls
+    assert args[1].draws_k == 12
+
+
+def test_speedup_call_shape_returns_one_distribution():
+    """``benchmark/speedup.py`` passes plain references and compares the
+    summaries of ``workers`` 1 and 2."""
+    rng = np.random.default_rng([77, 12])
+    pool = 0.01 * rng.standard_normal(200)
+    reference = float(np.prod(1.0 + pool[:12]) - 1.0)
+    spec = ScenarioSpec(draws_k=12, n_scenarios=300_000, seed=77, mode="iid")
+    summaries = []
+    for workers in (1, 2):
+        d = generate_distribution(pool, spec, references=(reference,), workers=workers)
+        assert isinstance(d, ScenarioDistribution)
+        summaries.append((d.min_car, d.max_car, dict(d.references)))
+    assert summaries[0] == summaries[1]
+    assert set(summaries[0][2]) == {reference}

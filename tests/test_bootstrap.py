@@ -13,9 +13,9 @@ from eventstudy.bootstrap import (
     Histogram,
     ScenarioDistribution,
     ScenarioSpec,
-    _chunk_cars,
-    _columns,
+    _factors,
     _indices,
+    _window_cars,
     cumulative_abnormal_return,
     derive_seed,
     generate_distribution,
@@ -24,33 +24,40 @@ from eventstudy.bootstrap import (
 
 
 def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
-    """Independent scalar re-derivation of every scenario's CAR.
+    """Independent scalar re-derivation of every window of every scenario.
 
-    Advances a fresh PCG64DXSM to the 64-bit word holding each scenario's
-    first draw, splits the words into 32-bit draws with shifts and masks,
-    maps each draw ``u`` below a modulus ``M`` as ``(u * M) >> 32`` in Python
-    integers, and multiplies factors one by one — no chunking, no vectorised
-    gather, no reinterpreted memory, no float index, no table.  In iid mode a
-    pool of at most ``_PAIR_POOL_LIMIT`` days takes its days in pairs: draw
-    ``u`` picks ``(a, b) = divmod((u * m*m) >> 32, m)`` and multiplies in
-    ``g[a] * g[b]``; an odd ``k`` ends with one single draw.  A longer pool
-    takes ``k`` single draws.  The engine must match this bit for bit.
+    Returns an ``(n_scenarios, draws_k)`` array whose column ``k - 1`` holds
+    each scenario's ``k``-day CAR, the one window ``k`` reads.  Advances a
+    fresh PCG64DXSM to the 64-bit word holding each scenario's first draw,
+    splits the words into 32-bit draws with shifts and masks, maps each draw
+    ``u`` below a modulus ``M`` as ``(u * M) >> 32`` in Python integers, and
+    multiplies factors one by one — no chunking, no slabs, no vectorised
+    gather, no reinterpreted memory, no float index, no table.
+
+    In iid mode a pool of at most ``_PAIR_POOL_LIMIT`` days lays out the
+    scenario's days in pairs: draw ``u`` picks ``(a, b) = divmod((u * m*m)
+    >> 32, m)``.  An even prefix is the product of its pair products
+    ``g[a] * g[b]``; an odd prefix multiplies the pair products before it by
+    ``g[a]`` of the next pair.  A longer pool takes one draw per day.  In
+    block mode the scenario's one draw picks window ``k``'s start below
+    ``m - k + 1`` and the window compounds ``k`` consecutive days from there.
+    The engine must match this bit for bit.
     """
     gross = [1.0 + float(x) for x in pool]
     pool_len = len(gross)
-    k = spec.draws_k
+    days = spec.draws_k
     paired = spec.mode == "iid" and pool_len <= _PAIR_POOL_LIMIT
     if spec.mode == "block":
         per_scenario = 1
     elif paired:
-        per_scenario = k // 2 + k % 2
+        per_scenario = days // 2 + days % 2
     else:
-        per_scenario = k
+        per_scenario = days
 
     def index(u: int, modulus: int) -> int:
         return (u * modulus) >> 32
 
-    cars = np.empty(spec.n_scenarios)
+    cars = np.empty((spec.n_scenarios, days))
     for i in range(spec.n_scenarios):
         first = i * per_scenario
         skip = first % 2  # one 64-bit word holds two draws
@@ -61,24 +68,32 @@ def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
             words[q // 2] >> 32 if q % 2 else words[q // 2] & 0xFFFFFFFF
             for q in range(skip, skip + per_scenario)
         ]
-        product = 1.0
-        if spec.mode == "iid":
-            days_left = k
-            for u in draws:
-                if paired and days_left >= 2:
+        for k in range(1, days + 1):
+            product = 1.0
+            if spec.mode == "block":
+                start = index(draws[0], pool_len - k + 1)
+                for j in range(start, start + k):
+                    product *= gross[j]
+            elif paired:
+                for u in draws[: k // 2]:
                     a, b = divmod(index(u, pool_len * pool_len), pool_len)
                     product *= gross[a] * gross[b]
-                    days_left -= 2
-                else:
+                if k % 2:
+                    a, _ = divmod(index(draws[k // 2], pool_len * pool_len), pool_len)
+                    product *= gross[a]
+            else:
+                for u in draws[:k]:
                     product *= gross[index(u, pool_len)]
-                    days_left -= 1
-            assert days_left == 0
-        else:
-            start = index(draws[0], pool_len - k + 1)
-            for j in range(start, start + k):
-                product *= gross[j]
-        cars[i] = product - 1.0
+            cars[i, k - 1] = product - 1.0
     return cars
+
+
+def cars_by_window(factors, per_scenario: int, seed: int, start: int, count: int) -> dict:
+    """Each window's CARs of one chunk, its slabs joined in order."""
+    slabs: dict[int, list[np.ndarray]] = {}
+    for window, cars in _window_cars(factors, per_scenario, seed, start, count):
+        slabs.setdefault(window, []).append(cars)
+    return {window: np.concatenate(parts) for window, parts in slabs.items()}
 
 
 @pytest.fixture(scope="module")
@@ -134,14 +149,19 @@ class TestScenarioSpec:
             ScenarioSpec(**kwargs)
 
 
+def assert_counts_exact(dist: ScenarioDistribution, cars: np.ndarray) -> None:
+    """Every distinct CAR, registered as a reference, counts exactly."""
+    for value in set(cars.tolist()):
+        assert dist.count_below(value) == int((cars < value).sum())
+        assert dist.count_equal(value) == int((cars == value).sum())
+    assert (dist.min_car, dist.max_car) == (cars.min(), cars.max())
+
+
 def assert_engine_matches(pool: np.ndarray, spec: ScenarioSpec, expected: np.ndarray) -> None:
-    """Every distinct oracle CAR, registered as a reference, counts exactly."""
-    references = sorted(set(expected.tolist()))
-    dist = generate_distribution(pool, spec, references=references, chunk_size=173)
-    for value in references:
-        assert dist.count_below(value) == int((expected < value).sum())
-        assert dist.count_equal(value) == int((expected == value).sum())
-    assert (dist.min_car, dist.max_car) == (expected.min(), expected.max())
+    """The ``draws_k``-day window, asked for with plain references, matches the oracle."""
+    expected = expected[:, spec.draws_k - 1]
+    dist = generate_distribution(pool, spec, references=expected.tolist(), chunk_size=173)
+    assert_counts_exact(dist, expected)
 
 
 class TestEngineMatchesScalarOracle:
@@ -169,6 +189,29 @@ class TestEngineMatchesScalarOracle:
         short_spec = ScenarioSpec(draws_k=draws, n_scenarios=1_000, seed=41, mode=mode)
         assert_engine_matches(pool, short_spec, rederive_cars(pool, long_spec)[:1_000])
 
+    @pytest.mark.parametrize(
+        "mode,pool_len,scenario_days",
+        [
+            ("iid", 200, 12),  # an event's call: 6 pair draws per scenario
+            ("iid", 200, 5),  # 3 draws: chunks of 173 open on odd draws
+            ("iid", _PAIR_POOL_LIMIT + 1, 12),  # 12 single draws
+            ("iid", _PAIR_POOL_LIMIT + 1, 3),
+            ("block", 200, 12),  # 1 draw: odd offsets, each window its own modulus
+        ],
+    )
+    def test_every_window_of_one_call_bitwise(self, mode, pool_len, scenario_days):
+        # One call reads every window off the same scenarios; each window's
+        # counts, min and max must be exactly those of the oracle's prefixes.
+        pool_values = 0.02 * np.random.default_rng(pool_len).standard_normal(pool_len)
+        spec = ScenarioSpec(draws_k=scenario_days, n_scenarios=800, seed=2018, mode=mode)
+        expected = rederive_cars(pool_values, spec)
+        windows = range(1, scenario_days + 1)
+        references = {k: expected[:, k - 1].tolist() for k in windows}
+        dists = generate_distribution(pool_values, spec, references=references, chunk_size=173)
+        assert sorted(dists) == list(windows)
+        for k in windows:
+            assert_counts_exact(dists[k], expected[:, k - 1])
+
 
 class TestIndexMapping:
     @pytest.mark.parametrize("modulus", [1, 2, 3, 199, 200, 40_000, 512**2, 2**21])
@@ -186,6 +229,19 @@ class TestIndexMapping:
         assert mapped.tolist() == [(u * modulus) >> 32 for u in draws]
         assert int(mapped.max()) < modulus
 
+    @pytest.mark.parametrize("m", [3, 199, 200, 250, 512])
+    def test_pair_index_over_m_is_the_single_index(self, m):
+        # floor(floor(u * m**2 / 2**32) / m) == floor(u * m / 2**32): an odd
+        # window's last day, mapped from the next pair's draw with modulus m,
+        # is that pair's first day.  Both sides change only at a cut point of
+        # the pair mapping (the single mapping's are among them), so checking
+        # every one, and the draws either side, checks every draw.
+        p = np.arange(1, m * m, dtype=np.int64)
+        cuts = -(-(p << 32) // (m * m))
+        draws = np.concatenate([cuts - 1, cuts, cuts + 1, [0, 2**32 - 1]])
+        draws = np.unique(draws[(draws >= 0) & (draws < 2**32)]).astype(np.uint32)
+        assert np.array_equal(_indices(draws, m * m) // m, _indices(draws, m))
+
 
 class TestChunkPositioning:
     @settings(max_examples=60, deadline=None)
@@ -197,9 +253,14 @@ class TestChunkPositioning:
     )
     def test_any_chunk_is_a_slice_of_the_whole_range(self, pool, draws_k, start, count, seed):
         # An odd draw offset opens a chunk on a word's high half.
-        columns = _columns(1.0 + pool, ScenarioSpec(draws_k=draws_k))
-        whole = _chunk_cars(columns, seed, 0, start + count)
-        assert np.array_equal(_chunk_cars(columns, seed, start, count), whole[start:])
+        per_scenario, factors = _factors(
+            1.0 + pool, ScenarioSpec(draws_k=draws_k), range(1, draws_k + 1)
+        )
+        whole = cars_by_window(factors, per_scenario, seed, 0, start + count)
+        part = cars_by_window(factors, per_scenario, seed, start, count)
+        assert sorted(part) == list(range(1, draws_k + 1))
+        for k, cars in part.items():
+            assert np.array_equal(cars, whole[k][start:])
 
 
 class TestDeterminism:
@@ -336,6 +397,12 @@ class TestValidation:
         spec = ScenarioSpec(draws_k=1, n_scenarios=10)
         with pytest.raises(ValueError, match="longer than"):
             generate_distribution(np.zeros(MAX_POOL_DAYS + 1), spec)
+
+    @pytest.mark.parametrize("references", [{0: ()}, {3: (), 13: ()}, {}])
+    def test_window_outside_the_scenario_rejected(self, references):
+        spec = ScenarioSpec(draws_k=12, n_scenarios=10)
+        with pytest.raises(ValueError, match="windows must be between 1 and 12 days"):
+            generate_distribution(np.array([0.01, 0.02]), spec, references=references)
 
     def test_bad_worker_and_chunk_counts(self):
         spec = ScenarioSpec(draws_k=2, n_scenarios=10)

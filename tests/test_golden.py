@@ -26,12 +26,12 @@ EVENT_INDEX = 230
 N_SCENARIOS = 150_000
 
 REPORT_SHA256 = {
-    ("iid", "csv"): "0bae6c3723c5fdc314d8a49ddd4a5e8a7784a29fb6b1a9aa424306ddf5a255a0",
-    ("iid", "json"): "f8a2c2e54cb71f0bed2c7e88fec70e9de5c42d57b0d15bfcf84ee3617f7b7640",
-    ("block", "csv"): "f70b86f9c0a1dcd3f40e760bef9c5f2e0ba80c2183537424450e5c1df9b527a2",
-    ("block", "json"): "09913dc1facddab8597619cfa7450a5b291617ddaacf2a83e1fab42d6e9cc42f",
+    ("iid", "csv"): "c5c06e85ebe817b006d3cdbbe44e76f3a87998c307135d776ae407bfd47a2f24",
+    ("iid", "json"): "3e3032c17c1aaeadc5ae6d449177640395f575dac60d6b3e526be1187d2c8178",
+    ("block", "csv"): "deef7b3221be16e726f66c5af9f6d00eaba6514c70e6c41d574f9a16bf4a8339",
+    ("block", "json"): "2c78af09ce003e102224cc1a7be527920fc2288823e26b097e6f84c1a6fcc64a",
 }
-HISTOGRAM_SHA256 = "d93a36200b5fc45f273920ab696454a162ea94316dbbc09aa06c0326c09fb6d9"
+HISTOGRAM_SHA256 = "acfeeda34f29cc15258de9cf319de4d21977996a0c3e58d0272b64cef614037e"
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ def test_report_bytes_are_pinned(golden_universe, mode, fmt, workers):
         "mode": mode, "format": fmt, "workers": str(workers), "output": str(output),
     }))
     assert outcome.errors == []
-    assert {row.generator for row in outcome.rows} == {"pcg64dxsm-u32-mulshift-pairs"}
+    assert {row.generator for row in outcome.rows} == {"pcg64dxsm-u32-mulshift-event"}
     assert _sha256(output) == REPORT_SHA256[mode, fmt]
 
 

@@ -138,9 +138,9 @@ class TestRunEventStudy:
             (r.car, r.percentile, r.impact) for r in second
         ]
 
-    def test_windows_are_independent_streams(self, market):
+    def test_each_window_alone_reproduces_the_run(self, market):
         # Each window alone reproduces exactly the numbers of the full run:
-        # every window has its own derived seed.
+        # it reads the same prefix of the event's one stream.
         stock = stock_from_market(market)
         event = _event_for(market)
         full = run_event_study(event, stock, market, FAST)
