@@ -30,7 +30,7 @@ windows.
 Determinism and scale
 ---------------------
 Distributions run to millions of scenarios, so CARs are never stored.
-Instead the generator streams chunks, compounds them in slabs of rows, and
+Instead the generator compounds them in slabs of ``_SLAB_ROWS`` rows and
 keeps only each window's reductions, slab by slab: exact below/equal counts
 for registered reference values, the observed min/max, and (optionally)
 fixed-bin histogram counts.
@@ -41,10 +41,10 @@ with the "double xorshift multiply" output), keyed with ``spec.seed`` through
 32-bit draws ``u_{2p} = w_p & 0xFFFFFFFF`` and ``u_{2p+1} = w_p >> 32``.
 Scenario ``i`` uses the ``d`` draws ``u_{i*d} ... u_{i*d+d-1}``; nothing is
 padded, so the first ``n`` scenarios are the same for any ``n_scenarios``.
-A chunk positions itself with ``advance`` at the word that holds its first
-draw, so the resulting distributions are a pure function of (pool, spec,
-references, histogram_bins) — chunk size and worker count cannot change a
-single bit of them.
+Each of at most ``workers`` threads takes a contiguous run of whole slabs
+and ``advance``s its own generator to the run's first word, so the resulting
+distributions are a pure function of (pool, spec, references,
+histogram_bins) — the worker count cannot change a single bit of them.
 
 Why these streams are independent enough: every event has its own 64-bit
 seed (``derive_seed``), and ``SeedSequence`` hashes that seed into both the
@@ -56,7 +56,7 @@ Streams with different increments are affine images of one another; the
 DXSM output permutation is built to hide that relation, which is why numpy
 recommends it over PCG64's XSL-RR output for many parallel streams.
 ``advance(n)`` jumps the congruential state by exactly ``n`` steps in
-O(log n) multiplications (Brown's arbitrary-stride method), so a chunk reads
+O(log n) multiplications (Brown's arbitrary-stride method), so a run reads
 the very words that one pass over the whole stream would have read.
 
 Each draw ``u`` picks an index below a modulus ``M`` by Lemire's
@@ -96,6 +96,7 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
@@ -116,10 +117,6 @@ __all__ = [
 #: Scenario count for a standard run.
 DEFAULT_N_SCENARIOS = 5_000_000
 
-#: Scenarios per chunk: large enough to amortise generator setup, small
-#: enough that a chunk's draws stay a few megabytes.
-DEFAULT_CHUNK_SIZE = 1 << 17
-
 #: Names the stream definition above; reports carry it so that a change to
 #: the stream shows as a different tag rather than silently different numbers.
 GENERATOR = "pcg64dxsm-u32-mulshift-event"
@@ -131,7 +128,8 @@ MAX_POOL_DAYS = 1 << 21
 _MAX_SEED = 2**64 - 1
 # Scenarios are compounded in slabs of this many rows, so that a slab's
 # draws and running products stay in cache while its columns are multiplied
-# in; a slab's size cannot change any scenario's value.
+# in; a slab's size cannot change any scenario's value.  Even, so that every
+# slab, and so every run of slabs, opens on a word's low half.
 _SLAB_ROWS = 8192
 # Longest iid pool that draws its days in pairs; a longer one draws singly.
 _PAIR_POOL_LIMIT = 512
@@ -262,7 +260,7 @@ def _factors(
     carried so far (none before the first).  ``window``, when set, is the
     window whose CAR is ``value - 1``; ``carry`` makes ``value`` the running
     product of the factors after it.  The tables are built once per call and
-    shared by every chunk and thread.
+    shared by every slab and thread.
     """
     m = pool_gross.size
     windows = sorted(set(windows))
@@ -312,23 +310,22 @@ def _window_cars(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(window, cars)`` for scenarios ``[start, start + count)``, slab by slab.
 
-    Depends only on the arguments: the generator is advanced to the word
-    holding the chunk's first draw, so any partition of the scenario range
-    into chunks yields the same per-scenario values.
+    The run must open on an even draw offset ``start * per_scenario`` (a
+    word's low half), else ``ValueError``; then any partition of the scenario
+    range into such runs yields the same per-scenario values.
     """
     first = start * per_scenario
-    n_draws = count * per_scenario
-    skip = first % 2  # the chunk may open on a word's high half
+    if first % 2:
+        raise ValueError(f"a run must open on an even draw offset, got {first}")
     gen = np.random.PCG64DXSM(seed)
     gen.advance(first // 2)
-    words = gen.random_raw(-(-(skip + n_draws) // 2))
-    # As little-endian bytes the low half of each word comes first; the
-    # ``astype`` is a no-op on little-endian hosts.
-    draws = words.astype("<u8", copy=False).view("<u4")[skip : skip + n_draws]
-    draws = draws.reshape(count, per_scenario)
-
     for lo in range(0, count, _SLAB_ROWS):
-        slab = draws[lo : lo + _SLAB_ROWS]
+        rows = min(_SLAB_ROWS, count - lo)
+        n_draws = rows * per_scenario
+        words = gen.random_raw(-(-n_draws // 2))
+        # As little-endian bytes the low half of each word comes first; the
+        # ``astype`` is a no-op on little-endian hosts.
+        slab = words.astype("<u8", copy=False).view("<u4")[:n_draws].reshape(rows, per_scenario)
         product = None
         for column, modulus, table, carry, window in factors:
             # ``take`` gathers the same values as ``table[...]``, faster.
@@ -341,8 +338,12 @@ def _window_cars(
                 product = value
 
 
-def _chunk_bounds(n: int, chunk_size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
+def _runs(n: int, workers: int) -> list[tuple[int, int]]:
+    """Split scenarios ``[0, n)`` into at most ``workers`` balanced, non-empty
+    runs of whole slabs."""
+    slabs = -(-n // _SLAB_ROWS)
+    cuts = [min(n, _SLAB_ROWS * (slabs * i // workers)) for i in range(workers + 1)]
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
 
 def generate_distribution(
@@ -352,7 +353,6 @@ def generate_distribution(
     references: Iterable[float] | Mapping[int, Iterable[float]] = (),
     histogram_bins: int | None = None,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> ScenarioDistribution | dict[int, ScenarioDistribution]:
     """Stream ``spec.n_scenarios`` synthetic scenarios into exact per-window summaries.
 
@@ -364,9 +364,10 @@ def generate_distribution(
     the same scenarios and a dict of one distribution per key is returned.
     ``histogram_bins`` adds to each distribution a fixed-bin histogram
     spanning its observed range; it costs a second generation pass, which is
-    cheap and keeps the summary exact.  ``workers`` and ``chunk_size`` are
-    purely operational knobs — the result is bit-for-bit identical for any
-    setting of either.
+    cheap and keeps the summary exact.  ``workers`` caps the threads: the
+    scenarios' slabs are split into that many contiguous runs (fewer when
+    there are fewer slabs), one thread each, and a single run stays in the
+    calling thread.  The result is bit-for-bit identical for any ``workers``.
     """
     pool_arr = np.asarray(pool, dtype=np.float64)
     if pool_arr.size == 0:
@@ -385,8 +386,6 @@ def generate_distribution(
         )
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if histogram_bins is not None and histogram_bins < 1:
         raise ValueError(f"histogram_bins must be >= 1, got {histogram_bins}")
     by_window = isinstance(references, Mapping)
@@ -398,36 +397,31 @@ def generate_distribution(
 
     refs = {k: tuple(sorted({float(v) for v in values})) for k, values in requested.items()}
     pool_gross = 1.0 + pool_arr
-    bounds = _chunk_bounds(spec.n_scenarios, chunk_size)
+    runs = _runs(spec.n_scenarios, workers)
 
-    def over_chunks(
+    def over_runs(
         windows: Iterable[int],
         summarize: Callable[[int, np.ndarray], _T],
         combine: Callable[[_T, _T], _T],
     ) -> dict[int, _T]:
         """Summarize every slab of ``windows``' CARs as it is made, and combine
-        each window's summaries over every slab of every chunk."""
+        each window's summaries over every slab of every run."""
         per_scenario, factors = _factors(pool_gross, spec, windows)
 
-        def fold(totals: dict[int, _T], k: int, summary: _T) -> None:
-            totals[k] = combine(totals[k], summary) if k in totals else summary
-
-        def one_chunk(bound: tuple[int, int]) -> dict[int, _T]:
+        def one_run(bound: tuple[int, int]) -> dict[int, _T]:
             lo, hi = bound
             totals: dict[int, _T] = {}
             for k, cars in _window_cars(factors, per_scenario, spec.seed, lo, hi - lo):
-                fold(totals, k, summarize(k, cars))
+                summary = summarize(k, cars)
+                totals[k] = combine(totals[k], summary) if k in totals else summary
             return totals
 
-        totals: dict[int, _T] = {}
-        # With one worker the chunks run in this thread and the executor
-        # starts none.
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            chunks = map(one_chunk, bounds) if workers == 1 else pool_exec.map(one_chunk, bounds)
-            for chunk in chunks:
-                for k, summary in chunk.items():
-                    fold(totals, k, summary)
-        return totals
+        if len(runs) == 1:  # no executor: the run stays in this thread
+            return one_run(runs[0])
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool_exec:
+            by_run = list(pool_exec.map(one_run, runs))
+        # Every slab yields every window, so every run holds every key.
+        return {k: reduce(combine, (totals[k] for totals in by_run)) for k in by_run[0]}
 
     def count(k: int, cars: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
         # Two compares per reference: on an 8,192-row slab (2-vCPU Xeon,
@@ -440,7 +434,7 @@ def generate_distribution(
     def add_counts(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray, float, float]:
         return a[0] + b[0], a[1] + b[1], min(a[2], b[2]), max(a[3], b[3])
 
-    counted = over_chunks(refs, count, add_counts)
+    counted = over_runs(refs, count, add_counts)
     histograms: dict[int, Histogram] = {}
     if histogram_bins is not None:
         edges = {}
@@ -455,7 +449,7 @@ def generate_distribution(
                     np.empty(0), bins=histogram_bins, range=(min_car, max_car)
                 )
         if edges:
-            binned = over_chunks(
+            binned = over_runs(
                 edges, lambda k, cars: np.histogram(cars, bins=edges[k])[0], np.add
             )
             for k, counts in binned.items():

@@ -68,7 +68,9 @@ def _add_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="root seed (overrides the config file)")
     parser.add_argument("--mode", choices=("iid", "block"), help="resampling mode")
     parser.add_argument("--scenarios", type=int, help="scenarios per distribution")
-    parser.add_argument("--workers", type=int, help="generation threads")
+    parser.add_argument(
+        "--workers", type=int, help="generation threads; results are identical for any value"
+    )
 
 
 def _overrides(args: argparse.Namespace) -> dict[str, str]:

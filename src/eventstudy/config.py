@@ -57,7 +57,7 @@ class RunConfig:
 
 def _parse_file(path: Path) -> dict[str, str]:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # drops a leading byte-order mark
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config file ({exc})") from exc
     values: dict[str, str] = {}

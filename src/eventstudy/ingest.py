@@ -145,12 +145,13 @@ def read_csv_rows(
 
     ``fields`` holds the row's values in the columns ``required + optional``
     (at least two), in that order; a value the row lacks, or an optional
-    column the header lacks, reads as ``None``.  Blank lines are skipped.
-    Raises :class:`DataFormatError` if the file is unreadable or the header
-    is missing any of ``required``.
+    column the header lacks, reads as ``None``.  Blank lines are skipped, and
+    so is a leading UTF-8 byte-order mark (Excel's "CSV UTF-8").  Raises
+    :class:`DataFormatError` if the file is unreadable or the header is
+    missing any of ``required``.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:

@@ -46,8 +46,7 @@ def test_wrapped_attribute_resolves(module_name, attribute):
 
 def test_generate_distribution_keeps_operational_keywords():
     parameters = inspect.signature(generate_distribution).parameters
-    for name in ("workers", "chunk_size"):
-        assert parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
+    assert parameters["workers"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_generate_call_shape_seen_by_the_tracer(market, monkeypatch):

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from eventstudy import bootstrap
 from eventstudy.bootstrap import (
     _PAIR_POOL_LIMIT,
     MAX_POOL_DAYS,
@@ -31,7 +32,7 @@ def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
     fresh PCG64DXSM to the 64-bit word holding each scenario's first draw,
     splits the words into 32-bit draws with shifts and masks, maps each draw
     ``u`` below a modulus ``M`` as ``(u * M) >> 32`` in Python integers, and
-    multiplies factors one by one — no chunking, no slabs, no vectorised
+    multiplies factors one by one — no runs, no slabs, no vectorised
     gather, no reinterpreted memory, no float index, no table.
 
     In iid mode a pool of at most ``_PAIR_POOL_LIMIT`` days lays out the
@@ -89,7 +90,7 @@ def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
 
 
 def cars_by_window(factors, per_scenario: int, seed: int, start: int, count: int) -> dict:
-    """Each window's CARs of one chunk, its slabs joined in order."""
+    """Each window's CARs of one run, its slabs joined in order."""
     slabs: dict[int, list[np.ndarray]] = {}
     for window, cars in _window_cars(factors, per_scenario, seed, start, count):
         slabs.setdefault(window, []).append(cars)
@@ -100,6 +101,13 @@ def cars_by_window(factors, per_scenario: int, seed: int, start: int, count: int
 def pool() -> np.ndarray:
     rng = np.random.default_rng(17)
     return 0.02 * rng.standard_normal(200)
+
+
+@pytest.fixture
+def small_slabs(monkeypatch):
+    """Slabs of 34 rows: at ``workers=3`` the oracle checks' 800 or 1,000
+    scenarios split into three runs of several slabs, the last one partial."""
+    monkeypatch.setattr(bootstrap, "_SLAB_ROWS", 34)
 
 
 class TestCumulativeAbnormalReturn:
@@ -160,10 +168,11 @@ def assert_counts_exact(dist: ScenarioDistribution, cars: np.ndarray) -> None:
 def assert_engine_matches(pool: np.ndarray, spec: ScenarioSpec, expected: np.ndarray) -> None:
     """The ``draws_k``-day window, asked for with plain references, matches the oracle."""
     expected = expected[:, spec.draws_k - 1]
-    dist = generate_distribution(pool, spec, references=expected.tolist(), chunk_size=173)
+    dist = generate_distribution(pool, spec, references=expected.tolist(), workers=3)
     assert_counts_exact(dist, expected)
 
 
+@pytest.mark.usefixtures("small_slabs")
 class TestEngineMatchesScalarOracle:
     @pytest.mark.parametrize(
         "mode,draws",
@@ -193,10 +202,10 @@ class TestEngineMatchesScalarOracle:
         "mode,pool_len,scenario_days",
         [
             ("iid", 200, 12),  # an event's call: 6 pair draws per scenario
-            ("iid", 200, 5),  # 3 draws: chunks of 173 open on odd draws
+            ("iid", 200, 5),  # 3 draws: only even slabs keep each run on a word boundary
             ("iid", _PAIR_POOL_LIMIT + 1, 12),  # 12 single draws
             ("iid", _PAIR_POOL_LIMIT + 1, 3),
-            ("block", 200, 12),  # 1 draw: odd offsets, each window its own modulus
+            ("block", 200, 12),  # 1 draw: each window its own modulus
         ],
     )
     def test_every_window_of_one_call_bitwise(self, mode, pool_len, scenario_days):
@@ -207,7 +216,7 @@ class TestEngineMatchesScalarOracle:
         expected = rederive_cars(pool_values, spec)
         windows = range(1, scenario_days + 1)
         references = {k: expected[:, k - 1].tolist() for k in windows}
-        dists = generate_distribution(pool_values, spec, references=references, chunk_size=173)
+        dists = generate_distribution(pool_values, spec, references=references, workers=3)
         assert sorted(dists) == list(windows)
         for k in windows:
             assert_counts_exact(dists[k], expected[:, k - 1])
@@ -250,17 +259,31 @@ class TestChunkPositioning:
         start=st.integers(min_value=0, max_value=1_500),
         count=st.integers(min_value=1, max_value=500),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
+        slab_rows=st.sampled_from([2, 34, 8192]),
     )
-    def test_any_chunk_is_a_slice_of_the_whole_range(self, pool, draws_k, start, count, seed):
-        # An odd draw offset opens a chunk on a word's high half.
+    def test_any_chunk_is_a_slice_of_the_whole_range(
+        self, pool, draws_k, start, count, seed, slab_rows
+    ):
+        # A run may open on any even draw offset, not only on a slab boundary.
         per_scenario, factors = _factors(
             1.0 + pool, ScenarioSpec(draws_k=draws_k), range(1, draws_k + 1)
         )
-        whole = cars_by_window(factors, per_scenario, seed, 0, start + count)
-        part = cars_by_window(factors, per_scenario, seed, start, count)
+        assume(start * per_scenario % 2 == 0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bootstrap, "_SLAB_ROWS", slab_rows)
+            whole = cars_by_window(factors, per_scenario, seed, 0, start + count)
+            part = cars_by_window(factors, per_scenario, seed, start, count)
         assert sorted(part) == list(range(1, draws_k + 1))
         for k, cars in part.items():
             assert np.array_equal(cars, whole[k][start:])
+
+    @pytest.mark.parametrize("draws_k", [2, 5])  # 1 and 3 draws per scenario
+    def test_odd_draw_offset_rejected(self, pool, draws_k):
+        per_scenario, factors = _factors(
+            1.0 + pool, ScenarioSpec(draws_k=draws_k), range(1, draws_k + 1)
+        )
+        with pytest.raises(ValueError, match="even draw offset, got 3"):
+            cars_by_window(factors, per_scenario, 7, 3 // per_scenario, 10)
 
 
 class TestDeterminism:
@@ -272,15 +295,18 @@ class TestDeterminism:
         assert first.references == second.references
         assert (first.min_car, first.max_car) == (second.min_car, second.max_car)
 
-    @pytest.mark.parametrize("chunk_size", [1 << 17, 977, 40_000, 1])
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_invariant_to_chunking_and_workers(self, pool, chunk_size, workers):
-        spec = ScenarioSpec(draws_k=5, n_scenarios=3_000, seed=11)
+    @pytest.mark.parametrize("slab_rows", [2, 64, 8192])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("mode", ["iid", "block"])
+    def test_invariant_to_workers_and_slab_rows(self, pool, monkeypatch, mode, workers, slab_rows):
+        # 3,001 scenarios are a multiple of no slab size, so the runs are
+        # unequal and the last slab is partial.
+        spec = ScenarioSpec(draws_k=5, n_scenarios=3_001, seed=11, mode=mode)
         refs = (-0.02, 0.005)
         baseline = generate_distribution(pool, spec, references=refs, histogram_bins=13)
+        monkeypatch.setattr(bootstrap, "_SLAB_ROWS", slab_rows)
         other = generate_distribution(
-            pool, spec, references=refs, histogram_bins=13,
-            workers=workers, chunk_size=chunk_size,
+            pool, spec, references=refs, histogram_bins=13, workers=workers
         )
         assert other.references == baseline.references
         assert (other.min_car, other.max_car) == (baseline.min_car, baseline.max_car)
@@ -404,13 +430,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="windows must be between 1 and 12 days"):
             generate_distribution(np.array([0.01, 0.02]), spec, references=references)
 
-    def test_bad_worker_and_chunk_counts(self):
+    def test_bad_worker_and_bin_counts(self):
         spec = ScenarioSpec(draws_k=2, n_scenarios=10)
         pool_values = np.array([0.01, 0.02])
         with pytest.raises(ValueError, match="workers"):
             generate_distribution(pool_values, spec, workers=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            generate_distribution(pool_values, spec, chunk_size=0)
         with pytest.raises(ValueError, match="histogram_bins"):
             generate_distribution(pool_values, spec, histogram_bins=0)
 

@@ -5,8 +5,8 @@ pins the whole pipeline — fit, seed derivation, generator stream, midrank
 percentile and rendering — at once.  A change that alters any of these
 must bump ``bootstrap.GENERATOR`` and update the hashes below on purpose.
 
-The scenario count spans two generator chunks, so ``workers=2`` really runs
-chunks on both threads.
+The scenario count spans 19 slabs, so ``workers=2`` splits it into two runs
+and really generates on two threads.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import hashlib
 
 import pytest
 
+from eventstudy.bootstrap import _SLAB_ROWS, _runs
 from eventstudy.cli import main
 from eventstudy.config import load_run_config
 from eventstudy.ingest import align
@@ -60,6 +61,11 @@ def golden_universe(tmp_path_factory):
         encoding="utf-8",
     )
     return root, config, event_day
+
+
+def test_two_workers_run_two_threads():
+    assert -(-N_SCENARIOS // _SLAB_ROWS) == 19
+    assert len(_runs(N_SCENARIOS, 2)) == 2
 
 
 def _sha256(path) -> str:

@@ -32,6 +32,14 @@ def _write_rows(path, rows, header=("date", "close")):
     return path
 
 
+def _with_bom(path):
+    """A copy of ``path`` that opens with a UTF-8 byte-order mark, as Excel's
+    "CSV UTF-8" writes it."""
+    copy = path.with_name("bom-" + path.name)
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
 class TestLoadPriceSeries:
     def test_round_trip_is_exact(self, tmp_path):
         series = synthetic_market(n_prices=40, seed=3)
@@ -45,6 +53,13 @@ class TestLoadPriceSeries:
         series = load_price_series(_write_rows(tmp_path / "x.csv", rows))
         assert series.dates == (date(2014, 1, 6), date(2014, 1, 7), date(2014, 1, 8))
         assert series.prices.tolist() == [100.0, 101.0, 102.0]
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        plain = write_price_csv(tmp_path / "m.csv", synthetic_market(n_prices=40, seed=3))
+        expected = load_price_series(plain, instrument_id="m")
+        loaded = load_price_series(_with_bom(plain), instrument_id="m")
+        assert (loaded.instrument_id, loaded.dates) == (expected.instrument_id, expected.dates)
+        assert np.array_equal(loaded.prices, expected.prices)
 
     def test_missing_column_names_it(self, tmp_path):
         path = _write_rows(tmp_path / "x.csv", [("2014-01-06", "1.0")], header=("date", "px"))
@@ -147,6 +162,14 @@ class TestEventRegistry:
         assert [e.key for e in events] == ["acme@2014-05-02", "beta@2014-05-07"]
         assert events[0].label == "Acme Corp"
         assert events[1].label == ""
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        plain = _write_rows(
+            tmp_path / "events.csv",
+            [("acme", "2014-05-02", "Acme Corp"), ("beta", "2014-05-07", "")],
+            header=("instrument_id", "date", "label"),
+        )
+        assert load_event_registry(_with_bom(plain)) == load_event_registry(plain)
 
     def test_empty_registry_is_valid(self, tmp_path):
         path = _write_rows(tmp_path / "events.csv", [], header=("instrument_id", "date"))

@@ -178,6 +178,11 @@ class TestLoadRunConfig:
         assert value == expected
         assert type(value) is type(field.default)
 
+    def test_byte_order_mark_is_ignored(self, universe):
+        expected = load_run_config(universe.config)
+        universe.config.write_bytes(b"\xef\xbb\xbf" + universe.config.read_bytes())
+        assert load_run_config(universe.config) == expected
+
     def test_unknown_key_rejected(self, universe):
         universe.config.write_text("price_dir = p\nwhatever = 3\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="unknown key 'whatever'"):
