@@ -62,8 +62,9 @@ the very words that one pass over the whole stream would have read.
 Each draw ``u`` picks an index below a modulus ``M`` by Lemire's
 multiply-shift, ``floor(u * M / 2**32)``, computed as a float64 product with
 ``M * 2**-32`` truncated to an integer.  That product is exact while
-``u * M < 2**53``, that is for ``M <= 2**21``, so a pool may be at most
-``MAX_POOL_DAYS`` (``2**21``) days long and a longer one is rejected.
+``u * M < 2**53``, that is for ``M <= 2**21``.  A pool longer than
+``MAX_POOL_DAYS`` (512 days, in either mode) is rejected, so the largest
+modulus, a pair index's ``512**2 = 2**18``, lies well inside that range.
 
 In iid mode, with ``m`` pool days and gross returns ``g = 1 + pool``, the
 draws are taken two pool days at a time: ``d = K // 2 + K % 2`` for a
@@ -86,9 +87,7 @@ gives some indices one more draw value than others, so one index's
 probability can exceed another's by a factor of at most ``1 + M / 2**32``:
 about 1 + 9.3e-6 for a pair draw on a 200-day pool (7,296 of its 40,000
 pairs are that much likelier than the rest) and 1 + 5e-8 for a single draw.
-To keep the pair bound at 1 + 6.1e-5 and the table at 2 MB, a pool longer
-than ``_PAIR_POOL_LIMIT`` (512) days takes ``K`` single draws instead
-(``d = K``), and window ``k`` reads the product of the first ``k``.
+The cap keeps the pair bound at 1 + 6.1e-5 and the table at 2 MB.
 """
 
 from __future__ import annotations
@@ -121,9 +120,10 @@ DEFAULT_N_SCENARIOS = 5_000_000
 #: the stream shows as a different tag rather than silently different numbers.
 GENERATOR = "pcg64dxsm-u32-mulshift-event"
 
-#: Longest pool the index mapping handles exactly: a draw times a modulus of
-#: at most this many days stays below 2**53, where float64 is still exact.
-MAX_POOL_DAYS = 1 << 21
+#: Longest pool in either mode: a pair table of at most 2 MB, a pair bias of at
+#: most 1 + 6.1e-5, and a largest modulus of 512**2 = 2**18, well inside the
+#: 2**21 that ``_indices`` maps exactly.
+MAX_POOL_DAYS = 512
 
 _MAX_SEED = 2**64 - 1
 # Scenarios are compounded in slabs of this many rows, so that a slab's
@@ -131,8 +131,6 @@ _MAX_SEED = 2**64 - 1
 # in; a slab's size cannot change any scenario's value.  Even, so that every
 # slab, and so every run of slabs, opens on a word's low half.
 _SLAB_ROWS = 8192
-# Longest iid pool that draws its days in pairs; a longer one draws singly.
-_PAIR_POOL_LIMIT = 512
 
 _T = TypeVar("_T")
 
@@ -275,26 +273,25 @@ def _factors(
                 runs *= pool_gross[j : j + n_starts]
             factors.append((0, n_starts, runs, False, k))
         return 1, factors
-    span = 2 if m <= _PAIR_POOL_LIMIT else 1  # pool days per draw
     # Entry a*m + b of the pair table is g[a] * g[b], so an index below m**2
     # picks (a, b).
-    table = np.multiply.outer(pool_gross, pool_gross).ravel() if span == 2 else pool_gross
+    table = np.multiply.outer(pool_gross, pool_gross).ravel()
     factors = []
-    for column in range(-(-windows[-1] // span)):
-        days = column * span
-        if span == 2 and days + 1 in windows:
+    for column in range(-(-windows[-1] // 2)):
+        days = 2 * column
+        if days + 1 in windows:
             # The pair's first day, a = floor(u * m / 2**32) exactly.
             factors.append((column, m, pool_gross, False, days + 1))
-        if days + span <= windows[-1]:
-            window = days + span if days + span in windows else None
-            factors.append((column, m**span, table, True, window))
-    return -(-spec.draws_k // span), factors
+        if days + 2 <= windows[-1]:
+            window = days + 2 if days + 2 in windows else None
+            factors.append((column, m * m, table, True, window))
+    return -(-spec.draws_k // 2), factors
 
 
 def _indices(draws: np.ndarray, modulus: int) -> np.ndarray:
     """Map 32-bit draws ``u`` to ``floor(u * modulus / 2**32)``, each below ``modulus``.
 
-    Exact for ``modulus <= MAX_POOL_DAYS``: ``u * modulus`` is then below
+    Exact for ``modulus <= 2**21``: ``u * modulus`` is then below
     2**53, so the float64 product with the power-of-two scale is not rounded
     and the cast truncates it to the integer part.
     """
@@ -374,8 +371,7 @@ def generate_distribution(
         raise ValueError("empty abnormal-return pool")
     if pool_arr.size > MAX_POOL_DAYS:
         raise ValueError(
-            f"pool of {pool_arr.size} days is longer than the {MAX_POOL_DAYS} "
-            f"the index mapping handles exactly"
+            f"pool of {pool_arr.size} days is longer than the {MAX_POOL_DAYS}-day limit"
         )
     if not np.all(np.isfinite(pool_arr) & (pool_arr > -1.0)):
         raise ValueError("abnormal-return pool must be finite with no value <= -1")

@@ -170,14 +170,14 @@ def _prepare_event(
     stock: PriceSeries,
     market: PriceSeries,
     settings: StudySettings,
-    longest: EventWindow,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Align, place the event, and fit both models for every window up to ``longest``.
+    """Align, place the event, and fit both models for every standard window.
 
     Returns the estimation pool and both models' abnormal returns from
-    offset -1 to the end of ``longest``.  Every window opens at -1, so a
-    window's returns are the first ``window.n_days`` of these.
+    offset -1 to the end of the longest window; a window's returns are the
+    first ``window.n_days`` of these.
     """
+    longest = STANDARD_WINDOWS[-1]
     aligned = align(stock, market)
     event_index = resolve_event_day(
         event,
@@ -240,9 +240,7 @@ def run_event_study(
     :func:`event_scenario_distribution` reproduces any one of them on its
     own.  Any failure raises — a partial result list is never returned.
     """
-    pool, abnormal, additive = _prepare_event(
-        event, stock, market, settings, STANDARD_WINDOWS[-1]
-    )
+    pool, abnormal, additive = _prepare_event(event, stock, market, settings)
     cars = {
         window.n_days: cumulative_abnormal_return(abnormal[: window.n_days])
         for window in STANDARD_WINDOWS
@@ -279,10 +277,13 @@ def event_scenario_distribution(
 
     Reads the same stream and scenarios as :func:`run_event_study`, so the
     distribution examined here is the one the study actually used; only
-    this window is compounded.
+    this window is compounded.  The event needs the study's history, and
+    ``window`` must be one of ``STANDARD_WINDOWS`` (else ``ValueError``).
     """
-    pool, abnormal, _ = _prepare_event(event, stock, market, settings, window)
-    car = cumulative_abnormal_return(abnormal)
+    if window not in STANDARD_WINDOWS:
+        raise ValueError(f"{window.label} is not a standard event window")
+    pool, abnormal, _ = _prepare_event(event, stock, market, settings)
+    car = cumulative_abnormal_return(abnormal[: window.n_days])
     distributions = _event_distributions(
         pool, {window.n_days: car}, event, settings, histogram_bins
     )

@@ -167,13 +167,15 @@ def _judge_events(
             except EventStudyError as exc:
                 stocks[event.instrument_id] = exc
         stock = stocks[event.instrument_id]
-        try:
-            if isinstance(stock, EventStudyError):
-                raise stock
-            results = run_event_study(event, stock, market, config.settings)
-        except EventStudyError as exc:
-            logger.warning("skipping %s: %s", event.key, exc)
-            errors.append((event.key, str(exc)))
+        failure = stock if isinstance(stock, EventStudyError) else None
+        if failure is None:
+            try:
+                results = run_event_study(event, stock, market, config.settings)
+            except EventStudyError as exc:
+                failure = exc
+        if failure is not None:
+            logger.warning("skipping %s: %s", event.key, failure)
+            errors.append((event.key, str(failure)))
             continue
         rows.extend(ReportRow.from_result(result) for result in results)
         logger.info("judged %s over %d windows", event.key, len(results))

@@ -4,8 +4,10 @@
 ``WRAPPED`` table at the names their callers look up and counts one
 ``bootstrap.generate`` span per call, and ``benchmark/speedup.py`` calls
 ``generate_distribution`` with a plain references tuple and ``workers``.
-A rename or a changed call shape in ``src/`` would break those runs
-without failing any other test.
+Every workload config takes its ``estimation_days`` from
+``benchmark/workloads.py``.  A rename, a changed call shape or a tighter
+pool limit in ``src/`` would break those runs without failing any other
+test.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,19 +23,33 @@ import pytest
 
 import eventstudy.inference as inference
 from eventstudy import StudySettings, event_scenario_distribution, run_event_study
-from eventstudy.bootstrap import ScenarioDistribution, ScenarioSpec, generate_distribution
+from eventstudy.bootstrap import (
+    MAX_POOL_DAYS,
+    ScenarioDistribution,
+    ScenarioSpec,
+    generate_distribution,
+)
 from eventstudy.ingest import EventRecord, align
 
 from .conftest import stock_from_market
 
-TRACED_CLI = Path(__file__).resolve().parent.parent / "benchmark" / "traced_cli.py"
+BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
+
+
+def _benchmark_module(name):
+    """Load ``benchmark/<name>.py`` from its file."""
+    spec = importlib.util.spec_from_file_location(name, BENCHMARK / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # a dataclass looks its module up while it is defined
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
 
 
 def _wrapped():
-    spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WRAPPED
+    return _benchmark_module("traced_cli").WRAPPED
 
 
 @pytest.mark.parametrize(
@@ -42,6 +59,12 @@ def _wrapped():
 )
 def test_wrapped_attribute_resolves(module_name, attribute):
     assert callable(getattr(importlib.import_module(module_name), attribute))
+
+
+def test_workload_pool_within_the_limit():
+    """Every workload config sets ``estimation_days = ESTIMATION_DAYS``; a
+    longer pool would fail each workload before judging an event."""
+    assert _benchmark_module("workloads").ESTIMATION_DAYS <= MAX_POOL_DAYS
 
 
 def test_generate_distribution_keeps_operational_keywords():

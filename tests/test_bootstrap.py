@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from eventstudy import bootstrap
 from eventstudy.bootstrap import (
-    _PAIR_POOL_LIMIT,
     MAX_POOL_DAYS,
     Histogram,
     ScenarioDistribution,
@@ -35,25 +34,18 @@ def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
     multiplies factors one by one — no runs, no slabs, no vectorised
     gather, no reinterpreted memory, no float index, no table.
 
-    In iid mode a pool of at most ``_PAIR_POOL_LIMIT`` days lays out the
-    scenario's days in pairs: draw ``u`` picks ``(a, b) = divmod((u * m*m)
-    >> 32, m)``.  An even prefix is the product of its pair products
-    ``g[a] * g[b]``; an odd prefix multiplies the pair products before it by
-    ``g[a]`` of the next pair.  A longer pool takes one draw per day.  In
-    block mode the scenario's one draw picks window ``k``'s start below
-    ``m - k + 1`` and the window compounds ``k`` consecutive days from there.
+    In iid mode the scenario's days come in pairs: draw ``u`` picks ``(a, b)
+    = divmod((u * m*m) >> 32, m)``.  An even prefix is the product of its
+    pair products ``g[a] * g[b]``; an odd prefix multiplies the pair products
+    before it by ``g[a]`` of the next pair.  In block mode the scenario's one
+    draw picks window ``k``'s start below ``m - k + 1`` and the window
+    compounds ``k`` consecutive days from there.
     The engine must match this bit for bit.
     """
     gross = [1.0 + float(x) for x in pool]
     pool_len = len(gross)
     days = spec.draws_k
-    paired = spec.mode == "iid" and pool_len <= _PAIR_POOL_LIMIT
-    if spec.mode == "block":
-        per_scenario = 1
-    elif paired:
-        per_scenario = days // 2 + days % 2
-    else:
-        per_scenario = days
+    per_scenario = 1 if spec.mode == "block" else days // 2 + days % 2
 
     def index(u: int, modulus: int) -> int:
         return (u * modulus) >> 32
@@ -75,16 +67,13 @@ def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
                 start = index(draws[0], pool_len - k + 1)
                 for j in range(start, start + k):
                     product *= gross[j]
-            elif paired:
+            else:
                 for u in draws[: k // 2]:
                     a, b = divmod(index(u, pool_len * pool_len), pool_len)
                     product *= gross[a] * gross[b]
                 if k % 2:
                     a, _ = divmod(index(draws[k // 2], pool_len * pool_len), pool_len)
                     product *= gross[a]
-            else:
-                for u in draws[:k]:
-                    product *= gross[index(u, pool_len)]
             cars[i, k - 1] = product - 1.0
     return cars
 
@@ -182,12 +171,14 @@ class TestEngineMatchesScalarOracle:
         spec = ScenarioSpec(draws_k=draws, n_scenarios=800, seed=99, mode=mode)
         assert_engine_matches(pool, spec, rederive_cars(pool, spec))
 
-    @pytest.mark.parametrize("pool_len", [_PAIR_POOL_LIMIT, _PAIR_POOL_LIMIT + 1])
-    def test_pool_at_and_past_the_pair_limit_bitwise(self, pool_len):
-        # The longest pool still draws pairs; one day more and every day is
-        # a single draw, through the same engine loop.
-        long_pool = 0.02 * np.random.default_rng(pool_len).standard_normal(pool_len)
-        spec = ScenarioSpec(draws_k=5, n_scenarios=800, seed=99)
+    @pytest.mark.parametrize("mode", ["iid", "block"])
+    def test_pool_at_the_limit_bitwise(self, mode):
+        # The longest pool either mode accepts, through the same engine loop;
+        # its largest modulus stays inside the exact range of the mapping.
+        long_pool = 0.02 * np.random.default_rng(MAX_POOL_DAYS).standard_normal(MAX_POOL_DAYS)
+        spec = ScenarioSpec(draws_k=5, n_scenarios=800, seed=99, mode=mode)
+        _, factors = _factors(1.0 + long_pool, spec, range(1, spec.draws_k + 1))
+        assert max(modulus for _, modulus, *_ in factors) <= 2**21
         assert_engine_matches(long_pool, spec, rederive_cars(long_pool, spec))
 
     @pytest.mark.parametrize("mode,draws", [("iid", 5), ("block", 3)])
@@ -203,8 +194,6 @@ class TestEngineMatchesScalarOracle:
         [
             ("iid", 200, 12),  # an event's call: 6 pair draws per scenario
             ("iid", 200, 5),  # 3 draws: only even slabs keep each run on a word boundary
-            ("iid", _PAIR_POOL_LIMIT + 1, 12),  # 12 single draws
-            ("iid", _PAIR_POOL_LIMIT + 1, 3),
             ("block", 200, 12),  # 1 draw: each window its own modulus
         ],
     )
@@ -420,9 +409,12 @@ class TestValidation:
             generate_distribution(np.array([0.01, 0.02]), spec)
 
     def test_pool_past_the_exact_mapping_rejected(self):
-        spec = ScenarioSpec(draws_k=1, n_scenarios=10)
-        with pytest.raises(ValueError, match="longer than"):
-            generate_distribution(np.zeros(MAX_POOL_DAYS + 1), spec)
+        # The limit keeps the largest modulus, MAX_POOL_DAYS**2, well inside
+        # the mapping's exact range; one day more is refused in either mode.
+        for mode in ("iid", "block"):
+            spec = ScenarioSpec(draws_k=1, n_scenarios=10, mode=mode)
+            with pytest.raises(ValueError, match="513 days is longer than the 512-day limit"):
+                generate_distribution(np.zeros(MAX_POOL_DAYS + 1), spec)
 
     @pytest.mark.parametrize("references", [{0: ()}, {3: (), 13: ()}, {}])
     def test_window_outside_the_scenario_rejected(self, references):

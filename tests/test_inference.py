@@ -113,6 +113,11 @@ class TestStudySettings:
         with pytest.raises(ValueError):
             StudySettings(**kwargs)
 
+    @pytest.mark.parametrize("mode", ["iid", "block"])
+    def test_longest_pool_accepted(self, mode):
+        assert MAX_POOL_DAYS == 512
+        StudySettings(mode=mode, estimation_days=512)  # and 513 is refused above
+
 
 class TestRunEventStudy:
     def test_five_windows_in_order(self, market):
@@ -206,6 +211,24 @@ class TestEventScenarioDistribution:
         dist, car = event_scenario_distribution(event, stock, market, window, FAST)
         assert car == results[3].car
         assert percentile_of(dist, car) == results[3].percentile
+
+    def test_needs_the_history_the_study_needs(self, market):
+        # Three following days would cover [-1,1] alone, but the study
+        # rejects the event, so the distribution it never used is refused too.
+        stock = stock_from_market(market)
+        late_event = EventRecord("stock", align(stock, market).dates[-4])
+        with pytest.raises(HistoryError) as study:
+            run_event_study(late_event, stock, market, FAST)
+        with pytest.raises(HistoryError) as alone:
+            event_scenario_distribution(late_event, stock, market, EventWindow(1), FAST)
+        assert str(alone.value) == str(study.value)
+        assert "after the event: 3 trading days, need 10" in str(alone.value)
+
+    def test_nonstandard_window_rejected(self, market):
+        with pytest.raises(ValueError, match=r"\[-1,2\] is not a standard event window"):
+            event_scenario_distribution(
+                _event_for(market), stock_from_market(market), market, EventWindow(2), FAST
+            )
 
     def test_histogram_attached_on_request(self, market):
         stock = stock_from_market(market)

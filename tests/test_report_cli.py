@@ -6,6 +6,7 @@ import csv
 import json
 import re
 import shutil
+import traceback
 from dataclasses import asdict, fields, replace
 from datetime import date
 from pathlib import Path
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import eventstudy.report as report_module
 from eventstudy import StudySettings
 from eventstudy.cli import main
 from eventstudy.config import load_run_config
@@ -322,6 +324,24 @@ class TestRun:
         ]
         assert len(outcome.rows) == 15
 
+    def test_stored_load_error_is_not_re_raised(self, universe, monkeypatch):
+        # One load error serves every event of its instrument; raising it
+        # again for each would add one traceback entry per event.
+        stored = DataFormatError("broken prices")
+        load_market = report_module.load_price_series
+
+        def load(path, instrument_id=None):
+            if instrument_id is None:
+                return load_market(path)
+            raise stored
+
+        monkeypatch.setattr(report_module, "load_price_series", load)
+        days = _event_days(230, 240, 250)
+        write_events_csv(universe.events_file, [("acme", day, "") for day in days])
+        outcome = run(load_run_config(universe.config))
+        assert outcome.errors == [(f"acme@{day}", "broken prices") for day in days]
+        assert len(traceback.extract_tb(stored.__traceback__)) == 2  # load, _judge_events
+
     def test_each_run_removes_the_other_report(self, universe):
         config = load_run_config(universe.config)
         complete, partial = universe.tmp / "report.csv", universe.tmp / "report.csv.partial"
@@ -555,6 +575,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "estimation_days" in err
         assert list(universe.tmp.glob("out.csv*")) == []
+
+    def test_histogram_refuses_the_event_run_refuses(self, universe, capsys):
+        # Three days follow acme's event: enough for [-1,1] alone, not for
+        # the study, so histogram fails it with run's message.
+        late_day = _event_days(295)[0]
+        write_events_csv(universe.events_file, [("acme", late_day, "Acme Corp")])
+        assert main(["run", "--config", str(universe.config)]) == 1
+        failed = capsys.readouterr().err.splitlines()[-1]
+        message = failed.removeprefix(f"failed acme@{late_day}: ")
+        assert message != failed and "3 trading days, need 10" in message
+        code = main([
+            "histogram", "--config", str(universe.config),
+            "--event", "acme", "--window", "[-1,1]", "--out", str(universe.tmp / "h.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+        assert not (universe.tmp / "h.csv").exists()
 
     def test_run_extreme_price_fails_only_its_event(self, universe, capsys):
         day = _give_acme_a_tiny_close(universe)
