@@ -71,16 +71,19 @@ draws are taken two pool days at a time: ``d = K // 2 + K % 2`` for a
 ``K``-day scenario (6 for an event's 12 days).  Each draw maps to an index
 ``p < m**2``, picks the ordered pair ``(a, b) = divmod(p, m)`` and
 contributes the pair product ``fl(g[a] * g[b])``, read from a table of all
-``m**2`` products built once per call (320 KB at ``m = 200``).  An even
-window ``k`` is the product of the first ``k // 2`` pair factors.  An odd
-window multiplies the first ``k // 2`` pair factors by ``g[floor(u * m /
-2**32)]``, where ``u`` is the next pair's draw.  Because ``floor(floor(u *
-m**2 / 2**32) / m) == floor(u * m / 2**32)``, that day is the next pair's
-first day ``a``: uniform, independent of the prefix, and no extra draw.
-In block mode ``d = 1``: window ``k`` maps the scenario's one draw to a
-start below ``m - k + 1``, its own modulus, and compounds the ``k``
-consecutive days from there, so each window's start is uniform on its own
-range.  The factors are multiplied in draw order.
+``m**2`` products (320 KB at ``m = 200``).  An even window ``k`` is the
+product of the first ``k // 2`` pair factors.  An odd window multiplies the
+first ``k // 2`` pair factors by ``g[floor(u * m / 2**32)]``, where ``u`` is
+the next pair's draw.  Because ``floor(floor(u * m**2 / 2**32) / m) ==
+floor(u * m / 2**32)``, that day is the next pair's first day ``a``:
+uniform, independent of the prefix, and no extra draw.  In block mode ``d =
+1``: window ``k`` maps the scenario's one draw to a start below ``m - k +
+1`` and compounds the ``k`` consecutive days from there, read from a table
+of each start's run product, so each window's start is uniform on its own
+range.  The factors are multiplied in draw order, and each draw's modulus is
+the size of the table it gathers from (``g``, the pair table or a run
+table).  Each run of slabs builds its own tables, so with one run, as at
+``workers = 1``, they are built once per generation pass.
 
 Because ``2**32`` is not a multiple of a modulus ``M``, the multiply-shift
 gives some indices one more draw value than others, so one index's
@@ -231,61 +234,16 @@ def cumulative_abnormal_return(abnormal_returns: Iterable[float] | np.ndarray) -
     return float(np.prod(1.0 + arr) - 1.0)
 
 
-def derive_seed(root_seed: int, *components: str) -> int:
-    """Derive a stable 64-bit stream key from a root seed and text labels.
+def derive_seed(root_seed: int, key: str) -> int:
+    """Derive a stable 64-bit stream key from a root seed and an event key.
 
     Hashing (root seed, event key) gives every event its own generator
     stream, which all of its windows read, while keeping the whole run
     reproducible from one root seed.
     """
-    payload = "\x1f".join([str(int(root_seed)), *components]).encode("utf-8")
+    payload = f"{int(root_seed)}\x1f{key}".encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-# One factor of a window's CAR: ``(column, modulus, table, carry, window)``.
-_Factor = tuple[int, int, np.ndarray, bool, int | None]
-
-
-def _factors(
-    pool_gross: np.ndarray, spec: ScenarioSpec, windows: Iterable[int]
-) -> tuple[int, list[_Factor]]:
-    """The draws per scenario, and the factors that compound each of ``windows``.
-
-    Factor ``(column, modulus, table, carry, window)`` reads the scenario's
-    draw ``u`` in ``column`` and forms ``value = product *
-    table[_indices(u, modulus)]``, ``product`` being the running product
-    carried so far (none before the first).  ``window``, when set, is the
-    window whose CAR is ``value - 1``; ``carry`` makes ``value`` the running
-    product of the factors after it.  The tables are built once per call and
-    shared by every slab and thread.
-    """
-    m = pool_gross.size
-    windows = sorted(set(windows))
-    if spec.mode == "block":
-        factors = []
-        for k in windows:
-            # Every scenario starting at day s multiplies the same k factors
-            # in the same order, so each start's product is formed once.
-            n_starts = m - k + 1
-            runs = pool_gross[:n_starts].copy()
-            for j in range(1, k):
-                runs *= pool_gross[j : j + n_starts]
-            factors.append((0, n_starts, runs, False, k))
-        return 1, factors
-    # Entry a*m + b of the pair table is g[a] * g[b], so an index below m**2
-    # picks (a, b).
-    table = np.multiply.outer(pool_gross, pool_gross).ravel()
-    factors = []
-    for column in range(-(-windows[-1] // 2)):
-        days = 2 * column
-        if days + 1 in windows:
-            # The pair's first day, a = floor(u * m / 2**32) exactly.
-            factors.append((column, m, pool_gross, False, days + 1))
-        if days + 2 <= windows[-1]:
-            window = days + 2 if days + 2 in windows else None
-            factors.append((column, m * m, table, True, window))
-    return -(-spec.draws_k // 2), factors
 
 
 def _indices(draws: np.ndarray, modulus: int) -> np.ndarray:
@@ -299,22 +257,39 @@ def _indices(draws: np.ndarray, modulus: int) -> np.ndarray:
 
 
 def _window_cars(
-    factors: list[_Factor],
-    per_scenario: int,
-    seed: int,
-    start: int,
-    count: int,
+    pool_gross: np.ndarray, spec: ScenarioSpec, windows: Iterable[int], start: int, count: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(window, cars)`` for scenarios ``[start, start + count)``, slab by slab.
+    """Yield ``(window, cars)`` for each of ``windows``, over scenarios
+    ``[start, start + count)``, slab by slab, as the module docstring defines them.
 
-    The run must open on an even draw offset ``start * per_scenario`` (a
-    word's low half), else ``ValueError``; then any partition of the scenario
-    range into such runs yields the same per-scenario values.
+    Each call builds the tables it gathers from (block mode's run products,
+    iid mode's pair products), so with one run, as at ``workers = 1``, they
+    are built once per generation pass.  The run must open on an even draw
+    offset ``start * d`` (a word's low half), else ``ValueError``; then any
+    partition of the scenario range into such runs yields the same
+    per-scenario values.
     """
+    m = pool_gross.size
+    windows = sorted(set(windows))
+    if spec.mode == "block":
+        per_scenario = 1
+        runs = []
+        for k in windows:
+            # Every scenario starting at day s multiplies the same k factors
+            # in the same order, so each start's product is formed once.
+            run = pool_gross[: m - k + 1].copy()
+            for j in range(1, k):
+                run *= pool_gross[j : j + run.size]
+            runs.append((k, run))
+    else:
+        per_scenario = -(-spec.draws_k // 2)
+        # Entry a*m + b of the pair table is g[a] * g[b], so an index below
+        # m**2 picks (a, b).
+        table = np.multiply.outer(pool_gross, pool_gross).ravel()
     first = start * per_scenario
     if first % 2:
         raise ValueError(f"a run must open on an even draw offset, got {first}")
-    gen = np.random.PCG64DXSM(seed)
+    gen = np.random.PCG64DXSM(spec.seed)
     gen.advance(first // 2)
     for lo in range(0, count, _SLAB_ROWS):
         rows = min(_SLAB_ROWS, count - lo)
@@ -323,16 +298,25 @@ def _window_cars(
         # As little-endian bytes the low half of each word comes first; the
         # ``astype`` is a no-op on little-endian hosts.
         slab = words.astype("<u8", copy=False).view("<u4")[:n_draws].reshape(rows, per_scenario)
-        product = None
-        for column, modulus, table, carry, window in factors:
-            # ``take`` gathers the same values as ``table[...]``, faster.
-            value = table.take(_indices(slab[:, column], modulus))
-            if product is not None:
+        if spec.mode == "block":
+            # ``take`` gathers the same values as ``run[...]``, faster.
+            for k, run in runs:
+                yield k, run.take(_indices(slab[:, 0], run.size)) - 1.0
+            continue
+        product = 1.0  # the first 2c days' pair factors; times 1.0 is exact
+        for c in range(-(-windows[-1] // 2)):
+            u = slab[:, c]
+            if 2 * c + 1 in windows:
+                # The pair's first day, a = floor(u * m / 2**32) exactly.
+                value = pool_gross.take(_indices(u, m))
                 value *= product  # products commute: bit for bit product * factor
-            if window is not None:
-                yield window, value - 1.0
-            if carry:
+                yield 2 * c + 1, value - 1.0
+            if 2 * c + 2 <= windows[-1]:
+                value = table.take(_indices(u, m * m))
+                value *= product
                 product = value
+                if 2 * c + 2 in windows:
+                    yield 2 * c + 2, product - 1.0
 
 
 def _runs(n: int, workers: int) -> list[tuple[int, int]]:
@@ -402,12 +386,10 @@ def generate_distribution(
     ) -> dict[int, _T]:
         """Summarize every slab of ``windows``' CARs as it is made, and combine
         each window's summaries over every slab of every run."""
-        per_scenario, factors = _factors(pool_gross, spec, windows)
-
         def one_run(bound: tuple[int, int]) -> dict[int, _T]:
             lo, hi = bound
             totals: dict[int, _T] = {}
-            for k, cars in _window_cars(factors, per_scenario, spec.seed, lo, hi - lo):
+            for k, cars in _window_cars(pool_gross, spec, windows, lo, hi - lo):
                 summary = summarize(k, cars)
                 totals[k] = combine(totals[k], summary) if k in totals else summary
             return totals

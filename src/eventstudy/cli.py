@@ -8,7 +8,8 @@ Three subcommands:
 * ``verify-table3`` — replay the decision rule over a published results
   fixture and report any disagreement.
 
-Exit codes: 0 success, 1 partial or data failure, 2 configuration error.
+Exit codes: 0 success, 1 partial or data failure or an output that cannot
+be written, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -155,7 +156,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except EventStudyError as exc:
+    except (EventStudyError, OSError) as exc:
+        # Reading an input turns an OSError into an EventStudyError, so one
+        # that reaches here is an output that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,11 @@
 """Run configuration: a flat key=value file plus command-line overrides.
 
 The config file is deliberately primitive — one ``key = value`` per line,
-``#`` comments, no sections — because a run has exactly one flat namespace
-of knobs.  Relative paths in the file are resolved against the file's own
-directory, so a config can ship next to its data.
+``#`` comment lines, no sections — because a run has exactly one flat
+namespace of knobs.  ``#`` starts a comment only at the start of a line;
+after a value it is part of the value.  Relative paths in the file are
+resolved against the file's own directory, so a config can ship next to its
+data.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Source hygiene: no leftover imports, no ``__all__`` entry without a definition,
-no unreferenced private helper.
+no unreferenced private helper, no syntax newer than the oldest supported Python.
 
 A static check over ``src/eventstudy/*.py`` with the standard ``ast`` module,
 so a deletion that leaves an import, an export or a private helper behind
@@ -69,6 +69,12 @@ def test_every_export_is_defined(path):
     missing = sorted(set(_exported(tree)) - _defined(tree))
     assert not missing, f"{path.name}: __all__ names with no definition {missing}"
 
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_parses_as_the_oldest_supported_python(path):
+    # pyproject.toml's ``requires-python = ">=3.10"``, held without a 3.10
+    # interpreter: ``feature_version`` rejects newer grammar, such as ``except*``.
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -143,14 +145,16 @@ class TestRunEventStudy:
             (r.car, r.percentile, r.impact) for r in second
         ]
 
-    def test_each_window_alone_reproduces_the_run(self, market):
+    @pytest.mark.parametrize("mode", ["iid", "block"])
+    def test_each_window_alone_reproduces_the_run(self, market, mode):
         # Each window alone reproduces exactly the numbers of the full run:
         # it reads the same prefix of the event's one stream.
+        settings = replace(FAST, mode=mode)
         stock = stock_from_market(market)
         event = _event_for(market)
-        full = run_event_study(event, stock, market, FAST)
+        full = run_event_study(event, stock, market, settings)
         for result in full:
-            dist, car = event_scenario_distribution(event, stock, market, result.window, FAST)
+            dist, car = event_scenario_distribution(event, stock, market, result.window, settings)
             assert (car, percentile_of(dist, car)) == (result.car, result.percentile)
 
     def test_negative_shock_is_flagged(self, market):

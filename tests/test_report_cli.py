@@ -218,6 +218,17 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_run_config(tmp_path / "absent.conf")
 
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+        path = tmp_path / "study.conf"
+        path.write_text(block, encoding="utf-8")
+        config = load_run_config(path)
+        assert config.price_dir == tmp_path / "prices"
+        assert config.events_file == tmp_path / "events.csv"
+        assert config.format == "csv"
+        assert config.settings == StudySettings()
+
 
 class TestRun:
     def test_writes_complete_csv_report(self, universe):
@@ -483,6 +494,19 @@ class TestCli:
             emit_histogram(generate_distribution(pool, spec, histogram_bins=9), out)
         assert out.read_bytes() == earlier
         assert [p.name for p in tmp_path.iterdir()] == ["hist.csv"]
+
+    @pytest.mark.parametrize("command", ["run", "histogram"])
+    @pytest.mark.parametrize("target", ["under_a_file", "a_directory"])
+    def test_unwritable_output_exit_one(self, universe, capsys, command, target):
+        out = universe.events_file / "out.csv" if target == "under_a_file" else universe.price_dir
+        before = sorted(universe.tmp.rglob("*"))
+        argv = ["--config", str(universe.config), "--out", str(out)]
+        if command == "histogram":
+            argv += ["--event", "acme", "--window", "[-1,1]"]
+        assert main([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        assert sorted(universe.tmp.rglob("*")) == before
 
     def test_histogram_by_bare_instrument_id(self, universe):
         out = universe.tmp / "hist.csv"
