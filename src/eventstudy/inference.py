@@ -1,10 +1,10 @@
 """Event windows, the percentile decision rule, and the per-event pipeline.
 
 An event window always opens one trading day before the announcement (to
-catch leakage) and closes 0, 1, 3, 5, or 10 days after it.  For each
-window the pipeline compares the observed cumulative abnormal return
-against a resampled no-impact distribution of the same length and
-classifies the event:
+catch leakage) and closes 0, 1, 3, 5, or 10 days after it; these five are
+the only members of :class:`EventWindow`.  For each window the pipeline
+compares the observed cumulative abnormal return against a resampled
+no-impact distribution of the same length and classifies the event:
 
 * ``Negative`` — the CAR is below zero *and* sits below the 10th percentile.
 * ``Positive`` — the CAR is above zero *and* sits above the 90th percentile.
@@ -61,40 +61,37 @@ class Impact(enum.Enum):
     POSITIVE = "Positive"
 
 
-@dataclass(frozen=True)
-class EventWindow:
-    """A window of trading days around the announcement, in day offsets.
+class EventWindow(enum.Enum):
+    """One of the paper's five event windows, valued by its end offset.
 
     Offset 0 is the announcement's trading day.  Every window opens at
-    offset -1: the day before the announcement is always included.
+    offset -1: the day before the announcement is always included.  The
+    members are in report order.  ``EventWindow(10)`` is ``[-1,10]``; any
+    other end offset raises ``ValueError``.
     """
 
-    end_offset: int
+    END_0 = 0
+    END_1 = 1
+    END_3 = 3
+    END_5 = 5
+    END_10 = 10
 
-    def __post_init__(self) -> None:
-        if self.end_offset < -1:
-            raise ValueError(
-                f"end_offset {self.end_offset} precedes the window's start at -1"
-            )
+    @property
+    def end_offset(self) -> int:
+        return self.value
 
     @property
     def n_days(self) -> int:
         """Trading days in the window — also the draws per scenario."""
-        return self.end_offset + 2
+        return self.value + 2
 
     @property
     def label(self) -> str:
-        return f"[-1,{self.end_offset}]"
+        return f"[-1,{self.value}]"
 
 
 #: The five standard event windows: 2, 3, 5, 7, and 12 trading days.
-STANDARD_WINDOWS: tuple[EventWindow, ...] = (
-    EventWindow(0),
-    EventWindow(1),
-    EventWindow(3),
-    EventWindow(5),
-    EventWindow(10),
-)
+STANDARD_WINDOWS: tuple[EventWindow, ...] = tuple(EventWindow)
 
 
 def parse_window_label(label: str) -> EventWindow:
@@ -165,17 +162,21 @@ class EventResult:
     settings: StudySettings
 
 
-def _prepare_event(
+def _measure(
     event: EventRecord,
     stock: PriceSeries,
     market: PriceSeries,
     settings: StudySettings,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Align, place the event, and fit both models for every standard window.
+    windows: tuple[EventWindow, ...],
+    histogram_bins: int | None = None,
+) -> tuple[dict[EventWindow, float], dict[EventWindow, ScenarioDistribution], np.ndarray]:
+    """Align, place the event, fit both models, and generate each window's distribution.
 
-    Returns the estimation pool and both models' abnormal returns from
-    offset -1 to the end of the longest window; a window's returns are the
-    first ``window.n_days`` of these.
+    Returns the CAR of each of ``windows``, its no-impact distribution with
+    that CAR registered, and the additive abnormal returns of the longest
+    window.  Whatever ``windows`` are asked for, the event needs the
+    longest window's history, and each window reads a prefix of the event's
+    one stream of 12-day scenarios.
     """
     longest = STANDARD_WINDOWS[-1]
     aligned = align(stock, market)
@@ -187,40 +188,28 @@ def _prepare_event(
     )
     estimation = estimation_window(aligned, event_index, settings.estimation_days)
     fit = fit_market_model(estimation)
+    pool = abnormal_return(estimation.stock_returns, estimation.market_returns, fit)
     days = slice(event_index - 1, event_index + longest.end_offset + 1)
     stock_returns, market_returns = aligned.stock_returns[days], aligned.market_returns[days]
-    return (
-        abnormal_return(estimation.stock_returns, estimation.market_returns, fit),
-        abnormal_return(stock_returns, market_returns, fit),
-        additive_abnormal_return(stock_returns, market_returns, fit_additive_model(estimation)),
+    abnormal = abnormal_return(stock_returns, market_returns, fit)
+    additive = additive_abnormal_return(
+        stock_returns, market_returns, fit_additive_model(estimation)
     )
-
-
-def _event_distributions(
-    pool: np.ndarray,
-    cars: dict[int, float],
-    event: EventRecord,
-    settings: StudySettings,
-    histogram_bins: int | None = None,
-) -> dict[int, ScenarioDistribution]:
-    """The no-impact distribution of each window length in ``cars``, its CAR registered.
-
-    Every window reads a prefix of the same 12-day scenarios, drawn from the
-    event's one stream.
-    """
+    cars = {window: cumulative_abnormal_return(abnormal[: window.n_days]) for window in windows}
     spec = ScenarioSpec(
-        draws_k=STANDARD_WINDOWS[-1].n_days,
+        draws_k=longest.n_days,
         n_scenarios=settings.n_scenarios,
         seed=derive_seed(settings.seed, event.key),
         mode=settings.mode,
     )
-    return generate_distribution(
+    by_length = generate_distribution(
         pool,
         spec,
-        references={n_days: (car,) for n_days, car in cars.items()},
+        references={window.n_days: (car,) for window, car in cars.items()},
         histogram_bins=histogram_bins,
         workers=settings.workers,
     )
+    return cars, {window: by_length[window.n_days] for window in windows}, additive
 
 
 def run_event_study(
@@ -240,16 +229,10 @@ def run_event_study(
     :func:`event_scenario_distribution` reproduces any one of them on its
     own.  Any failure raises — a partial result list is never returned.
     """
-    pool, abnormal, additive = _prepare_event(event, stock, market, settings)
-    cars = {
-        window.n_days: cumulative_abnormal_return(abnormal[: window.n_days])
-        for window in STANDARD_WINDOWS
-    }
-    distributions = _event_distributions(pool, cars, event, settings)
+    cars, distributions, additive = _measure(event, stock, market, settings, STANDARD_WINDOWS)
     results: list[EventResult] = []
-    for window in STANDARD_WINDOWS:
-        car = cars[window.n_days]
-        percentile = percentile_of(distributions[window.n_days], car)
+    for window, car in cars.items():
+        percentile = percentile_of(distributions[window], car)
         results.append(
             EventResult(
                 event=event,
@@ -277,14 +260,8 @@ def event_scenario_distribution(
 
     Reads the same stream and scenarios as :func:`run_event_study`, so the
     distribution examined here is the one the study actually used; only
-    this window is compounded.  The event needs the study's history, and
-    ``window`` must be one of ``STANDARD_WINDOWS`` (else ``ValueError``).
+    this window is compounded.  The event needs the study's history, so an
+    event the study refuses is refused here with the same error.
     """
-    if window not in STANDARD_WINDOWS:
-        raise ValueError(f"{window.label} is not a standard event window")
-    pool, abnormal, _ = _prepare_event(event, stock, market, settings)
-    car = cumulative_abnormal_return(abnormal[: window.n_days])
-    distributions = _event_distributions(
-        pool, {window.n_days: car}, event, settings, histogram_bins
-    )
-    return distributions[window.n_days], car
+    cars, distributions, _ = _measure(event, stock, market, settings, (window,), histogram_bins)
+    return distributions[window], cars[window]

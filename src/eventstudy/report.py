@@ -145,6 +145,21 @@ def _write_atomically(path: Path, content: str) -> None:
         raise
 
 
+def _check_writable(path: Path) -> None:
+    """Raise :class:`OSError` unless a report could be written at ``path``; create nothing.
+
+    The nearest existing ancestor of its directory must be a writable
+    directory: :func:`_write_atomically` makes the missing ones.
+    """
+    if path.is_dir():
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    directory = path.parent
+    while not directory.exists() and directory != directory.parent:
+        directory = directory.parent
+    if not (directory.is_dir() and os.access(directory, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot write {path}: {directory} is not a writable directory")
+
+
 def _judge_events(
     config: RunConfig, events: list[EventRecord], market: PriceSeries
 ) -> tuple[list[ReportRow], list[tuple[str, str]]]:
@@ -185,13 +200,16 @@ def _judge_events(
 def run(config: RunConfig) -> RunOutcome:
     """Execute a full study run and write its report.
 
-    Raises :class:`ConfigError` when referenced inputs are missing and
-    :class:`DataFormatError` when the market file itself is unusable; a
-    broken *event* (bad price file, thin history, degenerate fit) is
-    recorded in the outcome instead and flips the report to ``.partial``.
+    Raises :class:`ConfigError` when referenced inputs are missing,
+    :class:`OSError` when the output cannot be written (checked before any
+    event is judged), and :class:`DataFormatError` when the market file
+    itself is unusable; a broken *event* (bad price file, thin history,
+    degenerate fit) is recorded in the outcome instead and flips the report
+    to ``.partial``.
     """
     started = time.perf_counter()
     config.check_inputs()
+    _check_writable(config.output)
 
     events = load_event_registry(config.events_file)
     if not events:

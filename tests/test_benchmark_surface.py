@@ -29,9 +29,9 @@ from eventstudy.bootstrap import (
     ScenarioSpec,
     generate_distribution,
 )
-from eventstudy.ingest import EventRecord, align
+from eventstudy.ingest import EventRecord, align, load_price_series
 
-from .conftest import stock_from_market
+from .conftest import stock_from_market, write_price_csv
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -65,6 +65,23 @@ def test_workload_pool_within_the_limit():
     """Every workload config sets ``estimation_days = ESTIMATION_DAYS``; a
     longer pool would fail each workload before judging an event."""
     assert _benchmark_module("workloads").ESTIMATION_DAYS <= MAX_POOL_DAYS
+
+
+def test_workload_window_labels_are_the_standard_windows():
+    """The workloads name windows by label and share no code with ``src/``;
+    the ``histogram`` workload passes ``HISTOGRAM_WINDOW`` to ``--window``."""
+    workloads = _benchmark_module("workloads")
+    assert workloads.STANDARD_WINDOWS == tuple(w.label for w in inference.STANDARD_WINDOWS)
+    assert inference.parse_window_label(workloads.HISTOGRAM_WINDOW).label == (
+        workloads.HISTOGRAM_WINDOW
+    )
+
+
+def test_loaded_series_has_a_length(market, tmp_path):
+    """The tracer records ``len()`` of each loaded file's result as its
+    ``ingest.rows``, a price series included."""
+    path = write_price_csv(tmp_path / "market.csv", market)
+    assert len(load_price_series(path)) == len(market.dates)
 
 
 def test_generate_distribution_keeps_operational_keywords():

@@ -79,8 +79,11 @@ class TestEventWindow:
             parse_window_label("[0,5]")
 
     def test_end_cannot_precede_start(self):
-        with pytest.raises(ValueError, match="precedes"):
-            EventWindow(end_offset=-2)
+        # The five windows are closed: no other end offset, before or after
+        # -1, makes a window.
+        for end_offset in (-2, -1, 2, 4, 11):
+            with pytest.raises(ValueError, match=f"^{end_offset} is not a valid EventWindow$"):
+                EventWindow(end_offset)
 
     def test_label_round_trip(self):
         for window in STANDARD_WINDOWS:
@@ -229,7 +232,7 @@ class TestEventScenarioDistribution:
         assert "after the event: 3 trading days, need 10" in str(alone.value)
 
     def test_nonstandard_window_rejected(self, market):
-        with pytest.raises(ValueError, match=r"\[-1,2\] is not a standard event window"):
+        with pytest.raises(ValueError, match="^2 is not a valid EventWindow$"):
             event_scenario_distribution(
                 _event_for(market), stock_from_market(market), market, EventWindow(2), FAST
             )

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import eventstudy.cli as cli_module
 import eventstudy.report as report_module
 from eventstudy import StudySettings
 from eventstudy.cli import main
@@ -495,6 +496,13 @@ class TestCli:
         assert out.read_bytes() == earlier
         assert [p.name for p in tmp_path.iterdir()] == ["hist.csv"]
 
+    def test_histogram_needs_a_histogram(self, tmp_path):
+        spec = ScenarioSpec(draws_k=2, n_scenarios=500, seed=3)
+        distribution = generate_distribution([-0.02, 0.0, 0.01, 0.03], spec)
+        with pytest.raises(ValueError, match="carries no histogram"):
+            emit_histogram(distribution, tmp_path / "hist.csv")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["run", "histogram"])
     @pytest.mark.parametrize("target", ["under_a_file", "a_directory"])
     def test_unwritable_output_exit_one(self, universe, capsys, command, target):
@@ -507,6 +515,49 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: " in err and "Traceback" not in err
         assert sorted(universe.tmp.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["run", "histogram"])
+    @pytest.mark.parametrize("target", ["under_a_file", "two_below_a_file", "a_directory"])
+    def test_unwritable_output_fails_before_any_event(
+        self, universe, capsys, monkeypatch, command, target
+    ):
+        def judge(*args, **kwargs):
+            raise AssertionError("an event was judged for an output that cannot be written")
+
+        monkeypatch.setattr(report_module, "run_event_study", judge)
+        monkeypatch.setattr(cli_module, "event_scenario_distribution", judge)
+        out = {
+            "under_a_file": universe.events_file / "out.csv",
+            "two_below_a_file": universe.events_file / "missing" / "out.csv",
+            "a_directory": universe.price_dir,
+        }[target]
+        before = sorted(universe.tmp.rglob("*"))
+        argv = ["--config", str(universe.config), "--out", str(out)]
+        if command == "histogram":
+            argv += ["--event", "acme", "--window", "[-1,1]"]
+        assert main([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+        assert sorted(universe.tmp.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["run", "histogram"])
+    def test_missing_output_directories_are_created(self, universe, command):
+        out = universe.tmp / "new" / "deeper" / "out.csv"
+        argv = ["--config", str(universe.config), "--out", str(out)]
+        if command == "histogram":
+            argv += ["--event", "acme", "--window", "[-1,1]"]
+        assert main([command, *argv]) == 0
+        assert out.is_file()
+
+    def test_histogram_zero_bins_exit_two(self, universe, capsys):
+        out = universe.tmp / "h.csv"
+        code = main([
+            "histogram", "--config", str(universe.config),
+            "--event", "acme", "--window", "[-1,0]", "--bins", "0", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "configuration error: --bins must be >= 1, got 0\n"
+        assert not out.exists()
 
     def test_histogram_by_bare_instrument_id(self, universe):
         out = universe.tmp / "hist.csv"
@@ -709,8 +760,10 @@ class TestCli:
              "row 2: bad car or percentile (percentile must be in [0, 100], got nan)"),
             ("company,event_period,car,percentile", 'Acme,"[-1,0]",0.01,50',
              "header is missing required column(s) impact"),
+            ("company,event_period,car,percentile,impact", 'Acme,"[-1,0]",0.01,50,Neutral',
+             "row 2: impact must be one of ['Negative', 'None', 'Positive'], got 'Neutral'"),
         ],
-        ids=["percentile-150", "percentile-nan", "no-impact-column"],
+        ids=["percentile-150", "percentile-nan", "no-impact-column", "unknown-impact"],
     )
     def test_verify_bad_fixture_exit_one(self, tmp_path, capsys, header, row, message):
         target = tmp_path / "bad.csv"
