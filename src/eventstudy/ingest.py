@@ -9,12 +9,16 @@ row so a bad line in a 10-year price history is findable.
 Returns are simple daily returns ``p[t] / p[t-1] - 1`` computed only on
 the trading days both series share, so a stock and its market index stay
 in lockstep even when one exchange closes and the other does not.
+
+A calendar (``PriceSeries.dates``, ``AlignedReturns.dates``) is one
+``datetime64[D]`` array, so a multi-year history holds no Python object
+per day; ``dates[i].item()`` gives the ``datetime.date``.  An event's
+``announcement_date`` stays a ``datetime.date``.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date
 from operator import itemgetter
@@ -40,21 +44,20 @@ __all__ = [
 class PriceSeries:
     """A daily close-price history for one instrument.
 
-    ``dates`` are strictly increasing trading days; ``prices`` are the
-    matching positive closes; ``ordinals`` are the dates'
-    :meth:`~datetime.date.toordinal` values as ``int64``, derived once so
-    that :func:`align` works on integers.  Instances are immutable and
-    validated on construction, so everything downstream can assume a clean
-    series.
+    ``dates`` are strictly increasing trading days, held as one
+    ``datetime64[D]`` array (any sequence of :class:`datetime.date` is
+    converted); ``prices`` are the matching positive closes.  Instances are
+    immutable and validated on construction, so everything downstream can
+    assume a clean series.
     """
 
     instrument_id: str
-    dates: tuple[date, ...]
+    dates: np.ndarray
     prices: np.ndarray
-    ordinals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
+        dates = np.asarray(self.dates, dtype="datetime64[D]")
+        object.__setattr__(self, "dates", dates)
         prices = np.asarray(self.prices, dtype=np.float64)
         object.__setattr__(self, "prices", prices)
         if not self.instrument_id:
@@ -67,17 +70,14 @@ class PriceSeries:
             raise ValueError(
                 f"{self.instrument_id}: need at least 2 price points, got {len(self.dates)}"
             )
-        ordinals = np.fromiter(
-            (day.toordinal() for day in self.dates), dtype=np.int64, count=len(self.dates)
-        )
-        backwards = np.flatnonzero(np.diff(ordinals) <= 0)
+        # Written as "not later" so that a missing day (NaT) fails it too.
+        backwards = np.flatnonzero(~(dates[1:] > dates[:-1]))
         if backwards.size:
-            prev, cur = self.dates[backwards[0]], self.dates[backwards[0] + 1]
+            prev, cur = dates[backwards[0]], dates[backwards[0] + 1]
             raise ValueError(
                 f"{self.instrument_id}: dates must be strictly increasing "
-                f"({prev.isoformat()} followed by {cur.isoformat()})"
+                f"({prev} followed by {cur})"
             )
-        object.__setattr__(self, "ordinals", ordinals)
         if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
             raise ValueError(f"{self.instrument_id}: prices must be positive and finite")
 
@@ -110,17 +110,17 @@ class AlignedReturns:
     """Stock and market daily returns on a shared trading calendar.
 
     ``dates[i]`` is the day the ``i``-th return accrues (the second day of
-    each price pair).  Both return arrays are the same length as ``dates``
-    and every gross return ``1 + r`` is positive, which the multiplicative
-    model downstream relies on.
+    each price pair), held as one ``datetime64[D]`` array.  Both return
+    arrays are the same length as ``dates`` and every gross return ``1 + r``
+    is positive, which the multiplicative model downstream relies on.
     """
 
-    dates: tuple[date, ...]
+    dates: np.ndarray
     stock_returns: np.ndarray = field(repr=False)
     market_returns: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "dates", np.asarray(self.dates, dtype="datetime64[D]"))
         stock = np.asarray(self.stock_returns, dtype=np.float64)
         market = np.asarray(self.market_returns, dtype=np.float64)
         object.__setattr__(self, "stock_returns", stock)
@@ -180,6 +180,10 @@ def read_csv_rows(
         raise DataFormatError(f"{path}: cannot read file ({exc})") from exc
 
 
+#: The day number of 1970-01-01, day 0 of ``datetime64[D]``.
+_EPOCH = date(1970, 1, 1).toordinal()
+
+
 def _parse_iso_date(raw: str, path: Path, line_num: int) -> date:
     try:
         return date.fromisoformat(raw.strip())
@@ -236,10 +240,11 @@ def load_price_series(path: str | Path, *, instrument_id: str | None = None) -> 
         raise DataFormatError(
             f"{path}: need at least 2 price rows to form a return, got {len(days)}"
         )
-    order = sorted(range(len(days)), key=days.__getitem__)
+    day_numbers = np.fromiter((day.toordinal() - _EPOCH for day in days), np.int64, len(days))
+    order = np.argsort(day_numbers, kind="stable")
     return PriceSeries(
         instrument_id=instrument_id,
-        dates=tuple(map(days.__getitem__, order)),
+        dates=day_numbers[order].view("datetime64[D]"),
         prices=prices[order],
     )
 
@@ -267,16 +272,15 @@ def align(stock: PriceSeries, market: PriceSeries) -> AlignedReturns:
     :class:`AlignmentError` if fewer than two shared days remain, or if a
     price ratio is so extreme that a return is not finite or not above -1.
     """
-    common, stock_at, market_at = np.intersect1d(
-        stock.ordinals, market.ordinals, assume_unique=True, return_indices=True
+    dates, stock_at, market_at = np.intersect1d(
+        stock.dates, market.dates, assume_unique=True, return_indices=True
     )
-    if common.size < 2:
+    if dates.size < 2:
         raise AlignmentError(
             f"insufficient overlap between {stock.instrument_id!r} and "
             f"{market.instrument_id!r}: need at least 2 shared trading days, "
-            f"got {common.size}"
+            f"got {dates.size}"
         )
-    dates = tuple(map(stock.dates.__getitem__, stock_at.tolist()))
     returns = []
     for series, at in ((stock, stock_at), (market, market_at)):
         prices = series.prices[at]
@@ -285,7 +289,7 @@ def align(stock: PriceSeries, market: PriceSeries) -> AlignedReturns:
         bad = np.flatnonzero(~np.isfinite(leg) | (leg <= -1.0))
         if bad.size:
             raise AlignmentError(
-                f"{series.instrument_id!r}: the return on {dates[bad[0] + 1].isoformat()} "
+                f"{series.instrument_id!r}: the return on {dates[bad[0] + 1]} "
                 f"is {leg[bad[0]]}; a price ratio that extreme leaves no usable gross return"
             )
         returns.append(leg)
@@ -294,12 +298,15 @@ def align(stock: PriceSeries, market: PriceSeries) -> AlignedReturns:
 
 def resolve_event_day(
     event: EventRecord,
-    calendar: tuple[date, ...],
+    calendar: np.ndarray,
     *,
     min_prior_days: int,
     min_following_days: int,
 ) -> int:
     """Map an announcement date to its index on a trading calendar.
+
+    ``calendar`` is a strictly increasing ``datetime64[D]`` array, such as
+    :attr:`AlignedReturns.dates`.
 
     An announcement on a non-trading day (weekend, holiday) takes effect on
     the next trading day, since that is the first day the market can react.
@@ -307,16 +314,15 @@ def resolve_event_day(
     calendar day, or when fewer than ``min_prior_days`` trading days precede
     the resolved day or fewer than ``min_following_days`` follow it.
     """
-    if not calendar:
+    if not calendar.size:
         raise HistoryError(f"{event.key}: empty trading calendar")
-    index = bisect_left(calendar, event.announcement_date)
-    if index == len(calendar):
+    index = int(np.searchsorted(calendar, np.datetime64(event.announcement_date, "D")))
+    if index == calendar.size:
         raise HistoryError(
-            f"{event.key}: announcement falls after the last trading day "
-            f"({calendar[-1].isoformat()})"
+            f"{event.key}: announcement falls after the last trading day ({calendar[-1]})"
         )
     prior = index
-    following = len(calendar) - 1 - index
+    following = calendar.size - 1 - index
     if prior < min_prior_days:
         raise HistoryError(
             f"{event.key}: insufficient history before the event: "

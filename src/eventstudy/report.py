@@ -23,7 +23,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .bootstrap import GENERATOR, ScenarioDistribution
@@ -94,8 +94,13 @@ class ReportRow:
 REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
+def _values(row: ReportRow) -> dict[str, object]:
+    """The row's fields in column order; every field is a flat value, so no deep copy."""
+    return {name: getattr(row, name) for name in REPORT_COLUMNS}
+
+
 def _formatted(row: ReportRow) -> dict[str, str]:
-    values = asdict(row)
+    values = _values(row)
     values["car"] = f"{row.car:.9f}"
     values["car_percentile"] = f"{row.car_percentile:.5f}"
     values["car_additive"] = f"{row.car_additive:.9f}"
@@ -113,9 +118,16 @@ def render_csv(rows: list[ReportRow]) -> str:
 
 
 def render_json(rows: list[ReportRow]) -> str:
-    """Render rows as JSON, keeping floats at full precision."""
-    payload = {"rows": [asdict(row) for row in rows]}
-    return json.dumps(payload, indent=2) + "\n"
+    """Render rows as JSON, keeping floats at full precision.
+
+    The bytes are those of ``json.dumps({"rows": [...]}, indent=2)`` plus a
+    final newline, but each row is encoded on its own, so the encoder's
+    pieces of the whole report never exist at once.
+    """
+    if not rows:
+        return json.dumps({"rows": []}, indent=2) + "\n"
+    encoded = (json.dumps(_values(row), indent=2).replace("\n", "\n    ") for row in rows)
+    return '{\n  "rows": [\n    ' + ",\n    ".join(encoded) + "\n  ]\n}\n"
 
 
 @dataclass

@@ -71,7 +71,7 @@ def write_price_csv(path: Path, series: PriceSeries) -> Path:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(("date", "close"))
         for day, price in zip(series.dates, series.prices.tolist()):
-            writer.writerow((day.isoformat(), repr(price)))
+            writer.writerow((str(day), repr(price)))
     return path
 
 

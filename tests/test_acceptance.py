@@ -43,7 +43,7 @@ def standard_run():
     """One event judged over the five standard windows at full scale (5M)."""
     market = synthetic_market(seed=101)
     stock = stock_from_market(market, seed=202, shocks={EVENT_INDEX: -0.06})
-    event = EventRecord("stock", align(market, market).dates[EVENT_INDEX], label="Target")
+    event = EventRecord("stock", align(market, market).dates[EVENT_INDEX].item(), label="Target")
     started = time.perf_counter()
     results = run_event_study(event, stock, market, StudySettings(seed=7))
     elapsed = time.perf_counter() - started
@@ -158,7 +158,7 @@ def test_criterion_6_byte_identical_reports_and_worker_invariance(tmp_path):
     price_dir.mkdir()
     write_price_csv(price_dir / "acme.csv", stock)
     write_price_csv(tmp_path / "market.csv", market)
-    event_day = align(stock, market).dates[EVENT_INDEX].isoformat()
+    event_day = align(stock, market).dates[EVENT_INDEX].item().isoformat()
     write_events_csv(tmp_path / "events.csv", [("acme", event_day, "Acme Corp")])
     config_path = tmp_path / "run.conf"
     config_path.write_text(
@@ -220,7 +220,7 @@ def test_criterion_8_no_effect_calibration():
         stock = stock_from_market(
             market, seed=50_000 + i, instrument_id=f"firm{i:03d}", noise=0.01
         )
-        event = EventRecord(f"firm{i:03d}", align(market, market).dates[EVENT_INDEX])
+        event = EventRecord(f"firm{i:03d}", align(market, market).dates[EVENT_INDEX].item())
         for result in run_event_study(event, stock, market, settings):
             if result.impact is not Impact.NONE:
                 label = result.window.label

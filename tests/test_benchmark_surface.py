@@ -30,6 +30,7 @@ from eventstudy.bootstrap import (
     generate_distribution,
 )
 from eventstudy.ingest import EventRecord, align, load_price_series
+from eventstudy.report import ReportRow, render_csv, render_json
 
 from .conftest import stock_from_market, write_price_csv
 
@@ -84,6 +85,18 @@ def test_loaded_series_has_a_length(market, tmp_path):
     assert len(load_price_series(path)) == len(market.dates)
 
 
+def test_renderers_return_the_whole_report(market):
+    """The tracer records ``len(result.encode("utf-8"))`` of each render as
+    ``report.bytes``, so a renderer that streamed to a file would break the
+    traced run."""
+    event = EventRecord("stock", align(market, market).dates[230].item())
+    stock = stock_from_market(market)
+    results = run_event_study(event, stock, market, StudySettings(n_scenarios=500))
+    rows = [ReportRow.from_result(result) for result in results]
+    for render in (render_csv, render_json):
+        assert isinstance(render(rows), str)
+
+
 def test_generate_distribution_keeps_operational_keywords():
     parameters = inspect.signature(generate_distribution).parameters
     assert parameters["workers"].kind is inspect.Parameter.KEYWORD_ONLY
@@ -99,7 +112,7 @@ def test_generate_call_shape_seen_by_the_tracer(market, monkeypatch):
         return generate_distribution(*args, **kwargs)
 
     monkeypatch.setattr(inference, "generate_distribution", recording)
-    event = EventRecord("stock", align(market, market).dates[230])
+    event = EventRecord("stock", align(market, market).dates[230].item())
     event_scenario_distribution(
         event, stock_from_market(market), market, inference.STANDARD_WINDOWS[0],
         StudySettings(n_scenarios=500, workers=2), histogram_bins=7,
@@ -121,7 +134,7 @@ def test_one_twelve_day_generate_call_per_event(market, monkeypatch):
         return generate_distribution(*args, **kwargs)
 
     monkeypatch.setattr(inference, "generate_distribution", recording)
-    event = EventRecord("stock", align(market, market).dates[230])
+    event = EventRecord("stock", align(market, market).dates[230].item())
     stock = stock_from_market(market)
     results = run_event_study(event, stock, market, StudySettings(n_scenarios=500))
     assert len(results) == len(inference.STANDARD_WINDOWS)

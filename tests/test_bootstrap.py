@@ -20,6 +20,7 @@ from eventstudy.bootstrap import (
     generate_distribution,
     percentile_of,
 )
+from eventstudy.inference import STANDARD_WINDOWS
 
 
 def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
@@ -388,6 +389,79 @@ class TestResamplingStatistics:
         approx_mean = float((mids * dist.histogram.counts).sum() / dist.n)
         theory = float(np.mean(1.0 + pool) ** 3 - 1.0)
         assert approx_mean == pytest.approx(theory, abs=1e-3)
+
+
+def exact_midrank_percentile(outcomes: np.ndarray, value: float) -> float:
+    """Midrank percentile of ``value`` when every one of ``outcomes`` is equally likely."""
+    below = np.count_nonzero(outcomes < value)
+    equal = np.count_nonzero(outcomes == value)
+    return 100.0 * (below + 0.5 * equal) / outcomes.size
+
+
+class TestExactLaw:
+    """Engine percentiles against the exact resampling law, found by enumeration.
+
+    On a fixed 200-day Student-t(4) pool with gross returns ``g``, a
+    scenario's CAR takes one of finitely many equally likely values.  In iid
+    mode a 2-day CAR is one of the m**2 ordered pairs' ``fl(g[a] * g[b]) -
+    1``, the float product the pair table holds.  In block mode a k-day CAR
+    is one of the m - k + 1 start products, multiplied left to right as
+    ``_window_cars`` builds its run table (Künsch 1989).  For references near
+    each law's 10th, 50th and 90th percentile, the midrank percentile of 1M
+    scenarios must lie within 4 binomial standard errors of the exact
+    midrank percentile; the midrank's variance is at most the binomial
+    ``p(1 - p)``.
+
+    The multiply-shift mapping makes some indices likelier than others by a
+    factor of at most ``1 + M / 2**32``: 1 + 9.3e-6 for a pair draw at m =
+    200, so it moves a percentile by under 1e-3 points, far below the 0.03
+    to 0.05 points of one standard error here.
+    """
+
+    N_SCENARIOS = 1_000_000
+
+    @staticmethod
+    def _pool() -> np.ndarray:
+        return 0.01 * np.random.default_rng(2024).standard_t(4, 200)
+
+    @staticmethod
+    def _references(outcomes: np.ndarray) -> tuple[float, ...]:
+        ranked = np.sort(outcomes)
+        return tuple(float(ranked[int(q * ranked.size)]) for q in (0.1, 0.5, 0.9))
+
+    def _assert_within_4_se(self, dist, outcomes, references) -> None:
+        for value in references:
+            exact = exact_midrank_percentile(outcomes, value)
+            p = exact / 100.0
+            se = 100.0 * np.sqrt(p * (1.0 - p) / self.N_SCENARIOS)
+            assert abs(percentile_of(dist, value) - exact) < 4 * se, (value, exact)
+
+    def test_iid_two_day_window_matches_all_ordered_pairs(self):
+        pool_values = self._pool()
+        gross = (1.0 + pool_values).tolist()
+        outcomes = np.array([ga * gb for ga in gross for gb in gross]) - 1.0
+        references = self._references(outcomes)
+        spec = ScenarioSpec(draws_k=2, n_scenarios=self.N_SCENARIOS, seed=3301)
+        dist = generate_distribution(pool_values, spec, references=references)
+        self._assert_within_4_se(dist, outcomes, references)
+
+    def test_block_mode_matches_every_start_in_each_standard_window(self):
+        pool_values = self._pool()
+        gross = (1.0 + pool_values).tolist()
+        laws = {}
+        for k in (window.n_days for window in STANDARD_WINDOWS):
+            products = []
+            for start in range(len(gross) - k + 1):
+                product = gross[start]
+                for day in gross[start + 1 : start + k]:
+                    product *= day
+                products.append(product - 1.0)
+            laws[k] = np.array(products)
+        references = {k: self._references(law) for k, law in laws.items()}
+        spec = ScenarioSpec(draws_k=12, n_scenarios=self.N_SCENARIOS, seed=3302, mode="block")
+        dists = generate_distribution(pool_values, spec, references=references)
+        for k, law in laws.items():
+            self._assert_within_4_se(dists[k], law, references[k])
 
 
 class TestValidation:

@@ -46,7 +46,7 @@ def golden_universe(tmp_path_factory):
     write_price_csv(root / "prices" / "acme.csv", acme)
     write_price_csv(root / "prices" / "bravo.csv", bravo)
     write_price_csv(root / "market.csv", market)
-    event_day = align(acme, market).dates[EVENT_INDEX].isoformat()
+    event_day = align(acme, market).dates[EVENT_INDEX].item().isoformat()
     write_events_csv(
         root / "events.csv",
         [("acme", event_day, "Acme Corp"), ("bravo", event_day, "Bravo Inc")],

@@ -27,7 +27,7 @@ FAST = StudySettings(n_scenarios=4_000, seed=42)
 
 
 def _event_for(market, index=EVENT_INDEX):
-    return EventRecord("stock", align(market, market).dates[index], label="Stock Co")
+    return EventRecord("stock", align(market, market).dates[index].item(), label="Stock Co")
 
 
 class TestClassifyImpact:
@@ -198,7 +198,7 @@ class TestRunEventStudy:
     def test_insufficient_history_raises_before_any_result(self, market):
         stock = stock_from_market(market)
         aligned = align(stock, market)
-        late_event = EventRecord("stock", aligned.dates[-3])  # only 2 days follow
+        late_event = EventRecord("stock", aligned.dates[-3].item())  # only 2 days follow
         with pytest.raises(HistoryError, match="after the event"):
             run_event_study(late_event, stock, market, FAST)
 
@@ -223,7 +223,7 @@ class TestEventScenarioDistribution:
         # Three following days would cover [-1,1] alone, but the study
         # rejects the event, so the distribution it never used is refused too.
         stock = stock_from_market(market)
-        late_event = EventRecord("stock", align(stock, market).dates[-4])
+        late_event = EventRecord("stock", align(stock, market).dates[-4].item())
         with pytest.raises(HistoryError) as study:
             run_event_study(late_event, stock, market, FAST)
         with pytest.raises(HistoryError) as alone:

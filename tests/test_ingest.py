@@ -44,21 +44,31 @@ class TestLoadPriceSeries:
     def test_round_trip_is_exact(self, tmp_path):
         series = synthetic_market(n_prices=40, seed=3)
         loaded = load_price_series(write_price_csv(tmp_path / "m.csv", series))
-        assert loaded.dates == series.dates
+        assert loaded.dates.tolist() == series.dates.tolist()
         assert np.array_equal(loaded.prices, series.prices)
         assert loaded.instrument_id == "m"
+
+    def test_loaded_history_is_two_flat_arrays(self, tmp_path):
+        series = load_price_series(
+            write_price_csv(tmp_path / "m.csv", synthetic_market(n_prices=40, seed=3))
+        )
+        assert series.dates.dtype == np.dtype("datetime64[D]")
+        assert series.dates.nbytes + series.prices.nbytes == 16 * len(series)
+        assert not hasattr(series, "ordinals")
 
     def test_unsorted_input_is_sorted(self, tmp_path):
         rows = [("2014-01-08", "102.0"), ("2014-01-06", "100.0"), ("2014-01-07", "101.0")]
         series = load_price_series(_write_rows(tmp_path / "x.csv", rows))
-        assert series.dates == (date(2014, 1, 6), date(2014, 1, 7), date(2014, 1, 8))
+        assert series.dates.tolist() == [date(2014, 1, 6), date(2014, 1, 7), date(2014, 1, 8)]
         assert series.prices.tolist() == [100.0, 101.0, 102.0]
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
         plain = write_price_csv(tmp_path / "m.csv", synthetic_market(n_prices=40, seed=3))
         expected = load_price_series(plain, instrument_id="m")
         loaded = load_price_series(_with_bom(plain), instrument_id="m")
-        assert (loaded.instrument_id, loaded.dates) == (expected.instrument_id, expected.dates)
+        assert (loaded.instrument_id, loaded.dates.tolist()) == (
+            expected.instrument_id, expected.dates.tolist()
+        )
         assert np.array_equal(loaded.prices, expected.prices)
 
     def test_missing_column_names_it(self, tmp_path):
@@ -140,6 +150,12 @@ class TestPriceSeriesValidation:
         with pytest.raises(ValueError, match=r"\(2014-01-08 followed by 2014-01-07\)$"):
             PriceSeries("x", days, np.ones(5))
 
+    def test_missing_day_rejected(self):
+        # ``None`` converts to NaT, which compares false with every day.
+        days = (date(2014, 1, 6), None, date(2014, 1, 8))
+        with pytest.raises(ValueError, match=r"\(2014-01-06 followed by NaT\)$"):
+            PriceSeries("x", days, np.ones(3))
+
     def test_prices_positive(self):
         days = trading_calendar(date(2014, 1, 6), 2)
         with pytest.raises(ValueError, match="positive"):
@@ -192,7 +208,7 @@ class TestAlign:
         market = synthetic_market(n_prices=10, seed=5)
         aligned = align(market, market)
         assert len(aligned) == 9
-        assert aligned.dates == market.dates[1:]
+        assert aligned.dates.tolist() == market.dates[1:].tolist()
         expected = market.prices[1:] / market.prices[:-1] - 1.0
         assert np.array_equal(aligned.stock_returns, expected)
         assert np.array_equal(aligned.market_returns, expected)
@@ -204,7 +220,7 @@ class TestAlign:
             "m", (days[0], days[2], days[3]), np.array([50.0, 55.0, 66.0])
         )
         aligned = align(stock, market)
-        assert aligned.dates == (days[2], days[3])
+        assert aligned.dates.tolist() == [days[2], days[3]]
         # The stock return across the dropped day spans two of its own days.
         assert aligned.stock_returns == pytest.approx([121.0 / 100.0 - 1, 0.1], abs=1e-15)
         assert aligned.market_returns == pytest.approx([0.1, 0.2], abs=1e-15)
@@ -226,7 +242,7 @@ class TestAlign:
 
 def _reference_align(stock, market):
     """The set-and-dict alignment ``align`` replaced, kept as its oracle."""
-    common = sorted(set(stock.dates) & set(market.dates))
+    common = sorted(set(stock.dates.tolist()) & set(market.dates.tolist()))
     if len(common) < 2:
         raise AlignmentError(
             f"insufficient overlap between {stock.instrument_id!r} and "
@@ -235,7 +251,7 @@ def _reference_align(stock, market):
         )
     returns = []
     for series in (stock, market):
-        by_day = dict(zip(series.dates, series.prices.tolist()))
+        by_day = dict(zip(series.dates.tolist(), series.prices.tolist()))
         prices = np.array([by_day[day] for day in common], dtype=np.float64)
         with np.errstate(over="ignore"):
             leg = prices[1:] / prices[:-1] - 1.0
@@ -246,7 +262,7 @@ def _reference_align(stock, market):
                 f"is {leg[bad[0]]}; a price ratio that extreme leaves no usable gross return"
             )
         returns.append(leg)
-    return tuple(common[1:]), returns[0], returns[1]
+    return common[1:], returns[0], returns[1]
 
 
 _CALENDAR = trading_calendar(date(2014, 1, 6), 40)
@@ -276,7 +292,7 @@ class TestAlignMatchesReference:
             assert str(raised.value) == str(exc)
             return
         aligned = align(stock, market)
-        assert aligned.dates == expected[0]
+        assert aligned.dates.tolist() == expected[0]
         assert aligned.stock_returns.tobytes() == expected[1].tobytes()
         assert aligned.market_returns.tobytes() == expected[2].tobytes()
 
@@ -336,7 +352,8 @@ class TestResolveEventDay:
     def test_trading_day_maps_to_itself(self):
         calendar = self._calendar()
         index = resolve_event_day(
-            EventRecord("x", calendar[210]), calendar, min_prior_days=201, min_following_days=10
+            EventRecord("x", calendar[210]), np.array(calendar, "datetime64[D]"),
+            min_prior_days=201, min_following_days=10,
         )
         assert index == 210
 
@@ -347,7 +364,8 @@ class TestResolveEventDay:
         saturday = monday.fromordinal(monday.toordinal() - 2)
         assert saturday.weekday() == 5
         index = resolve_event_day(
-            EventRecord("x", saturday), calendar, min_prior_days=201, min_following_days=10
+            EventRecord("x", saturday), np.array(calendar, "datetime64[D]"),
+            min_prior_days=201, min_following_days=10,
         )
         assert index == 210
 
@@ -355,13 +373,15 @@ class TestResolveEventDay:
         calendar = self._calendar(10)
         event = EventRecord("x", date(2099, 1, 1))
         with pytest.raises(HistoryError, match="after the last trading day"):
-            resolve_event_day(event, calendar, min_prior_days=1, min_following_days=0)
+            resolve_event_day(
+                event, np.array(calendar, "datetime64[D]"), min_prior_days=1, min_following_days=0
+            )
 
     def test_insufficient_prior_history(self):
         calendar = self._calendar()
         with pytest.raises(HistoryError, match="before the event: 200 trading days, need 201"):
             resolve_event_day(
-                EventRecord("x", calendar[200]), calendar,
+                EventRecord("x", calendar[200]), np.array(calendar, "datetime64[D]"),
                 min_prior_days=201, min_following_days=10,
             )
 
@@ -369,13 +389,14 @@ class TestResolveEventDay:
         calendar = self._calendar()
         with pytest.raises(HistoryError, match="after the event"):
             resolve_event_day(
-                EventRecord("x", calendar[-3]), calendar,
+                EventRecord("x", calendar[-3]), np.array(calendar, "datetime64[D]"),
                 min_prior_days=201, min_following_days=10,
             )
 
     def test_boundary_day_is_accepted(self):
         calendar = self._calendar(212)  # exactly 201 before, 10 after index 201
         index = resolve_event_day(
-            EventRecord("x", calendar[201]), calendar, min_prior_days=201, min_following_days=10
+            EventRecord("x", calendar[201]), np.array(calendar, "datetime64[D]"),
+            min_prior_days=201, min_following_days=10,
         )
         assert index == 201

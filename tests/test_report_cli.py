@@ -23,7 +23,7 @@ from eventstudy.errors import ConfigError, DataFormatError
 from eventstudy.inference import STANDARD_WINDOWS, EventResult, Impact, classify_impact
 from eventstudy.ingest import EventRecord, PriceSeries, align, load_price_series
 from eventstudy.bootstrap import GENERATOR, MAX_POOL_DAYS, ScenarioSpec, generate_distribution
-from eventstudy.report import REPORT_COLUMNS, ReportRow, emit_histogram, run
+from eventstudy.report import REPORT_COLUMNS, ReportRow, emit_histogram, render_json, run
 
 from .conftest import (
     FIXTURES_DIR,
@@ -49,7 +49,7 @@ def universe(tmp_path):
     write_price_csv(price_dir / "acme.csv", acme)
     write_price_csv(price_dir / "bravo.csv", bravo)
     market_file = write_price_csv(tmp_path / "market.csv", market)
-    event_day = align(acme, market).dates[EVENT_INDEX].isoformat()
+    event_day = align(acme, market).dates[EVENT_INDEX].item().isoformat()
     events_file = write_events_csv(
         tmp_path / "events.csv",
         [("acme", event_day, "Acme Corp"), ("bravo", event_day, "Bravo Inc")],
@@ -116,7 +116,7 @@ def _lift_the_market_inside_bravos_windows(universe):
     prices = market.prices.copy()
     prices[263:] *= 1e298  # aligned day i is price day i + 1
     write_price_csv(universe.market_file, PriceSeries("market", market.dates, prices))
-    bravo_day = market.dates[261].isoformat()
+    bravo_day = market.dates[261].item().isoformat()
     write_events_csv(
         universe.events_file,
         [("acme", universe.event_day, "Acme Corp"), ("bravo", bravo_day, "Bravo Inc")],
@@ -140,13 +140,13 @@ def _lift_the_market_inside_acmes_estimation(universe):
     write_events_csv(
         universe.events_file,
         [("acme", universe.event_day, "Acme Corp"),
-         ("bravo", market.dates[289].isoformat(), "Bravo Inc")],
+         ("bravo", market.dates[289].item().isoformat(), "Bravo Inc")],
     )
 
 
 def _event_days(*aligned_days):
     market = synthetic_market()
-    return [market.dates[day + 1].isoformat() for day in aligned_days]
+    return [market.dates[day + 1].item().isoformat() for day in aligned_days]
 
 
 class TestLoadRunConfig:
@@ -378,6 +378,12 @@ class TestRun:
         assert content == ",".join(REPORT_COLUMNS) + "\n"
         assert any("empty" in record.message for record in caplog.records)
 
+    def test_empty_registry_json_report(self, universe):
+        write_events_csv(universe.events_file, [])
+        outcome = run(load_run_config(universe.config, {"format": "json"}))
+        content = outcome.report_path.read_text(encoding="utf-8")
+        assert content == json.dumps({"rows": []}, indent=2) + "\n"
+
     def test_json_report(self, universe):
         outcome = run(load_run_config(universe.config, {"format": "json"}))
         payload = json.loads(outcome.report_path.read_text(encoding="utf-8"))
@@ -418,6 +424,27 @@ class TestRun:
 
         sample = replace(StudySettings(), **{field.name: SETTING_SAMPLES[field.name][1]})
         assert provenance(sample) != provenance(StudySettings())
+
+
+def _report_rows(n):
+    """``n`` rows whose first label holds quotes, a comma, a newline and non-ASCII text."""
+    labels = ('Acme "Widgets", Inc.\nZürich — Ⅱ', "Bravo Inc", "")
+    return [
+        ReportRow.from_result(EventResult(
+            EventRecord("acme", date(2014, 11, 24 + i), label=labels[i]), STANDARD_WINDOWS[i],
+            car=-0.0123456789012345 * (i + 1), percentile=100.0 / 3 * i, impact=Impact.NONE,
+            car_additive=1e-17 * i, settings=StudySettings(),
+        ))
+        for i in range(n)
+    ]
+
+
+class TestRenderJson:
+    @pytest.mark.parametrize("n_rows", [0, 1, 3])
+    def test_bytes_match_one_dump_of_the_whole_report(self, n_rows):
+        rows = _report_rows(n_rows)
+        expected = json.dumps({"rows": [asdict(row) for row in rows]}, indent=2) + "\n"
+        assert render_json(rows) == expected
 
 
 class TestCli:
@@ -578,7 +605,7 @@ class TestCli:
     def test_histogram_ambiguous_event_exit_two(self, universe, capsys):
         second_day = align(
             synthetic_market(), synthetic_market()
-        ).dates[EVENT_INDEX + 5].isoformat()
+        ).dates[EVENT_INDEX + 5].item().isoformat()
         write_events_csv(
             universe.events_file,
             [("acme", universe.event_day, "Acme"), ("acme", second_day, "Acme")],
