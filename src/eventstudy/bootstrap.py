@@ -96,7 +96,6 @@ The cap keeps the pair bound at 1 + 6.1e-5 and the table at 2 MB.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
@@ -396,6 +395,9 @@ def generate_distribution(
 
         if len(runs) == 1:  # no executor: the run stays in this thread
             return one_run(runs[0])
+        # Imported here, so that a single-run process never loads the pool.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=len(runs)) as pool_exec:
             by_run = list(pool_exec.map(one_run, runs))
         # Every slab yields every window, so every run holds every key.
@@ -415,23 +417,15 @@ def generate_distribution(
     counted = over_runs(refs, count, add_counts)
     histograms: dict[int, Histogram] = {}
     if histogram_bins is not None:
-        edges = {}
-        for k, (_, _, min_car, max_car) in counted.items():
-            if min_car == max_car:
-                histograms[k] = Histogram(
-                    edges=np.array([min_car, max_car]),
-                    counts=np.array([spec.n_scenarios]),
-                )
-            else:
-                edges[k] = np.histogram_bin_edges(
-                    np.empty(0), bins=histogram_bins, range=(min_car, max_car)
-                )
-        if edges:
-            binned = over_runs(
-                edges, lambda k, cars: np.histogram(cars, bins=edges[k])[0], np.add
-            )
-            for k, counts in binned.items():
-                histograms[k] = Histogram(edges=edges[k], counts=counts)
+        # A constant window gets the one closed bin [c, c], which holds every CAR.
+        edges = {
+            k: np.array([min_car, max_car])
+            if min_car == max_car
+            else np.histogram_bin_edges(np.empty(0), bins=histogram_bins, range=(min_car, max_car))
+            for k, (_, _, min_car, max_car) in counted.items()
+        }
+        binned = over_runs(edges, lambda k, cars: np.histogram(cars, bins=edges[k])[0], np.add)
+        histograms = {k: Histogram(edges=edges[k], counts=counts) for k, counts in binned.items()}
 
     distributions = {
         k: ScenarioDistribution(

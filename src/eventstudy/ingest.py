@@ -40,6 +40,13 @@ __all__ = [
 ]
 
 
+def _owned(values: object, dtype: object) -> np.ndarray:
+    """A read-only copy of ``values``, so that no caller can change a record after validation."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class PriceSeries:
     """A daily close-price history for one instrument.
@@ -47,8 +54,8 @@ class PriceSeries:
     ``dates`` are strictly increasing trading days, held as one
     ``datetime64[D]`` array (any sequence of :class:`datetime.date` is
     converted); ``prices`` are the matching positive closes.  Instances are
-    immutable and validated on construction, so everything downstream can
-    assume a clean series.
+    immutable and validated on construction, and hold read-only copies of
+    both arrays, so everything downstream can assume a clean series.
     """
 
     instrument_id: str
@@ -56,9 +63,9 @@ class PriceSeries:
     prices: np.ndarray
 
     def __post_init__(self) -> None:
-        dates = np.asarray(self.dates, dtype="datetime64[D]")
+        dates = _owned(self.dates, "datetime64[D]")
         object.__setattr__(self, "dates", dates)
-        prices = np.asarray(self.prices, dtype=np.float64)
+        prices = _owned(self.prices, np.float64)
         object.__setattr__(self, "prices", prices)
         if not self.instrument_id:
             raise ValueError("instrument_id must be non-empty")
@@ -112,7 +119,8 @@ class AlignedReturns:
     ``dates[i]`` is the day the ``i``-th return accrues (the second day of
     each price pair), held as one ``datetime64[D]`` array.  Both return
     arrays are the same length as ``dates`` and every gross return ``1 + r``
-    is positive, which the multiplicative model downstream relies on.
+    is positive, which the multiplicative model downstream relies on.  All
+    three arrays are read-only copies, so no caller can break that later.
     """
 
     dates: np.ndarray
@@ -120,9 +128,9 @@ class AlignedReturns:
     market_returns: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", np.asarray(self.dates, dtype="datetime64[D]"))
-        stock = np.asarray(self.stock_returns, dtype=np.float64)
-        market = np.asarray(self.market_returns, dtype=np.float64)
+        object.__setattr__(self, "dates", _owned(self.dates, "datetime64[D]"))
+        stock = _owned(self.stock_returns, np.float64)
+        market = _owned(self.market_returns, np.float64)
         object.__setattr__(self, "stock_returns", stock)
         object.__setattr__(self, "market_returns", market)
         if not (len(self.dates) == stock.size == market.size):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import os
 import time
@@ -124,6 +123,8 @@ def render_json(rows: list[ReportRow]) -> str:
     final newline, but each row is encoded on its own, so the encoder's
     pieces of the whole report never exist at once.
     """
+    import json  # only JSON reports need the encoder
+
     if not rows:
         return json.dumps({"rows": []}, indent=2) + "\n"
     encoded = (json.dumps(_values(row), indent=2).replace("\n", "\n    ") for row in rows)

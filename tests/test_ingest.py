@@ -239,6 +239,24 @@ class TestAlign:
         with pytest.raises(ValueError, match="greater than -1"):
             AlignedReturns(days, np.array([0.1, -1.0]), np.array([0.1, 0.2]))
 
+    def test_records_hold_read_only_copies(self):
+        days = trading_calendar(date(2014, 1, 6), 3)
+        d = np.array(days, dtype="datetime64[D]")
+        p = np.array([1.0, 2.0, 3.0])
+        r = np.array([0.1, 0.2])
+        series = PriceSeries("x", d, p)
+        aligned = AlignedReturns(d[1:], r, np.array([0.3, 0.4]))
+        d[2] = d[0] - np.timedelta64(1, "D")
+        p[1] = -5.0
+        r[0] = -3.0
+        assert series.dates.tolist() == list(days)
+        assert series.prices.tolist() == [1.0, 2.0, 3.0]
+        assert aligned.dates.tolist() == list(days[1:])
+        assert aligned.stock_returns.tolist() == [0.1, 0.2]
+        for arr in (series.prices, series.dates, aligned.stock_returns):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
+
 
 def _reference_align(stock, market):
     """The set-and-dict alignment ``align`` replaced, kept as its oracle."""

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import traceback
 from dataclasses import asdict, fields, replace
 from datetime import date
@@ -807,3 +810,62 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+#: Imports the CLI in a fresh interpreter, runs ``main(argv)`` unless ``argv``
+#: is empty, and prints which of the modules that only a several-run
+#: generation or a JSON report needs the program itself loaded.
+_PROBE = """\
+import sys
+before = set(sys.modules)
+from eventstudy.cli import main
+if sys.argv[1:] and main(sys.argv[1:]) != 0:
+    sys.exit("main failed")
+print("loaded:", *[m for m in ("concurrent.futures", "json") if m in set(sys.modules) - before])
+"""
+
+
+class TestLeanImports:
+    """A process that needs neither a thread pool nor a JSON encoder never loads them.
+
+    Each case runs in its own interpreter, since pytest itself loads ``json``.
+    """
+
+    @staticmethod
+    def _loaded(*argv: str) -> set[str]:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _PROBE, *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        last = done.stdout.splitlines()[-1]
+        assert last.startswith("loaded:"), done.stdout
+        return set(last.split()[1:])
+
+    def test_bare_import(self):
+        assert self._loaded() == set()
+
+    def test_csv_run_at_one_worker(self, universe):
+        assert self._loaded("run", "--config", str(universe.config), "--workers", "1") == set()
+
+    def test_histogram_at_one_worker(self, universe):
+        assert self._loaded(
+            "histogram", "--config", str(universe.config), "--event",
+            f"acme@{universe.event_day}", "--window", "[-1,3]", "--workers", "1",
+            "--out", str(universe.tmp / "hist.csv"),
+        ) == set()
+
+    def test_json_run_loads_only_the_encoder(self, universe):
+        assert self._loaded(
+            "run", "--config", str(universe.config), "--format", "json",
+            "--out", str(universe.tmp / "report.json"),
+        ) == {"json"}
+
+    def test_several_runs_load_the_thread_pool(self, universe):
+        # 20,000 scenarios span three slabs, so two workers get a run each.
+        assert self._loaded(
+            "run", "--config", str(universe.config), "--scenarios", "20000", "--workers", "2",
+        ) == {"concurrent.futures"}
