@@ -157,7 +157,7 @@ class ScenarioSpec:
             raise ValueError(f"mode must be 'iid' or 'block', got {self.mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
     """Fixed-bin counts over the generated CARs.
 
@@ -178,7 +178,7 @@ class Histogram:
             raise ValueError(f"{edges.size} edges for {counts.size} bins")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioDistribution:
     """Streaming summary of one generated scenario distribution.
 
@@ -272,14 +272,13 @@ def _window_cars(
     windows = sorted(set(windows))
     if spec.mode == "block":
         per_scenario = 1
-        runs = []
-        for k in windows:
-            # Every scenario starting at day s multiplies the same k factors
-            # in the same order, so each start's product is formed once.
-            run = pool_gross[: m - k + 1].copy()
-            for j in range(1, k):
-                run *= pool_gross[j : j + run.size]
-            runs.append((k, run))
+        # Every scenario starting at day s multiplies the same k factors in
+        # the same order, so each start's product is formed once, as the
+        # (k - 1)-day run times the next day: products[k - 1] is the k-day run.
+        products = [pool_gross]
+        for k in range(2, windows[-1] + 1):
+            products.append(products[-1][:-1] * pool_gross[k - 1 :])
+        runs = [(k, products[k - 1]) for k in windows]
     else:
         per_scenario = -(-spec.draws_k // 2)
         # Entry a*m + b of the pair table is g[a] * g[b], so an index below

@@ -28,8 +28,6 @@ from .ingest import load_event_registry, load_price_series
 
 __all__ = ["main"]
 
-logger = logging.getLogger(__name__)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

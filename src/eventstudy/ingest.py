@@ -47,7 +47,7 @@ def _owned(values: object, dtype: object) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
     """A daily close-price history for one instrument.
 
@@ -112,7 +112,7 @@ class EventRecord:
         return f"{self.instrument_id}@{self.announcement_date.isoformat()}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignedReturns:
     """Stock and market daily returns on a shared trading calendar.
 

@@ -22,8 +22,9 @@ import io
 import logging
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .bootstrap import GENERATOR, ScenarioDistribution
 from .config import RunConfig
@@ -45,8 +46,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One (event, window) line of the report, ready to render."""
 
     company: str
@@ -90,29 +90,20 @@ class ReportRow:
 
 
 #: Column order of every report, CSV and JSON alike.
-REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
-
-
-def _values(row: ReportRow) -> dict[str, object]:
-    """The row's fields in column order; every field is a flat value, so no deep copy."""
-    return {name: getattr(row, name) for name in REPORT_COLUMNS}
-
-
-def _formatted(row: ReportRow) -> dict[str, str]:
-    values = _values(row)
-    values["car"] = f"{row.car:.9f}"
-    values["car_percentile"] = f"{row.car_percentile:.5f}"
-    values["car_additive"] = f"{row.car_additive:.9f}"
-    return {key: str(value) for key, value in values.items()}
+REPORT_COLUMNS = ReportRow._fields
 
 
 def render_csv(rows: list[ReportRow]) -> str:
     """Render rows as CSV: CARs to 9 decimals, percentiles to 5."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=REPORT_COLUMNS, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(REPORT_COLUMNS)
     for row in rows:
-        writer.writerow(_formatted(row))
+        writer.writerow(row._replace(
+            car=f"{row.car:.9f}",
+            car_percentile=f"{row.car_percentile:.5f}",
+            car_additive=f"{row.car_additive:.9f}",
+        ))
     return buffer.getvalue()
 
 
@@ -127,7 +118,7 @@ def render_json(rows: list[ReportRow]) -> str:
 
     if not rows:
         return json.dumps({"rows": []}, indent=2) + "\n"
-    encoded = (json.dumps(_values(row), indent=2).replace("\n", "\n    ") for row in rows)
+    encoded = (json.dumps(row._asdict(), indent=2).replace("\n", "\n    ") for row in rows)
     return '{\n  "rows": [\n    ' + ",\n    ".join(encoded) + "\n  ]\n}\n"
 
 

@@ -509,6 +509,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="windows must be between 1 and 12 days"):
             generate_distribution(np.array([0.01, 0.02]), spec, references=references)
 
+    @pytest.mark.parametrize(
+        "n, min_car, max_car, references, match",
+        [
+            (0, 0.0, 0.0, {}, "n must be >= 1"),
+            (10, 0.1, -0.1, {}, "exceeds max_car"),
+            (10, float("nan"), 0.1, {}, "exceeds max_car"),
+            (10, -0.1, 0.1, {0.0: (-1, 0)}, "impossible counts"),
+            (10, -0.1, 0.1, {0.0: (11, 0)}, "impossible counts"),
+            (10, -0.1, 0.1, {0.0: (6, 5)}, "impossible counts"),
+        ],
+        ids=["no-scenarios", "min-above-max", "nan-min", "negative-below", "below-past-n",
+             "below-plus-equal-past-n"],
+    )
+    def test_inconsistent_summary_rejected(self, n, min_car, max_car, references, match):
+        with pytest.raises(ValueError, match=match):
+            ScenarioDistribution(n=n, min_car=min_car, max_car=max_car, references=references)
+
     def test_bad_worker_and_bin_counts(self):
         spec = ScenarioSpec(draws_k=2, n_scenarios=10)
         pool_values = np.array([0.01, 0.02])
@@ -636,3 +653,22 @@ class TestPoolInvariants:
         assert dist.min_car > -1.0  # compounding positives never loses everything
         assert dist.min_car >= lowest - 1.0 - 1e-12
         assert dist.max_car <= highest - 1.0 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Histogram(edges=np.array([0.0, 1.0, 2.0]), counts=np.array([3, 4])),
+        lambda: ScenarioDistribution(
+            n=7, min_car=0.0, max_car=2.0, references={1.0: (3, 1)},
+            histogram=Histogram(edges=np.array([0.0, 1.0, 2.0]), counts=np.array([3, 4])),
+        ),
+    ],
+    ids=["Histogram", "ScenarioDistribution"],
+)
+def test_records_holding_arrays_compare_by_identity(make):
+    # A generated __eq__ would compare the arrays and raise on their truth value.
+    a, b = make(), make()
+    assert (a == b) is False
+    assert a == a
+    hash(a)

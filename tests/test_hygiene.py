@@ -1,9 +1,9 @@
 """Source hygiene: no leftover imports, no ``__all__`` entry without a definition,
-no unreferenced private helper, no syntax newer than the oldest supported Python.
+no unreferenced private helper or unexported public one, no syntax newer than
+the oldest supported Python.
 
 A static check over ``src/eventstudy/*.py`` with the standard ``ast`` module,
-so a deletion that leaves an import, an export or a private helper behind
-fails here.
+so a deletion that leaves an import, an export or a helper behind fails here.
 """
 
 from __future__ import annotations
@@ -54,6 +54,14 @@ def _defined(tree: ast.Module) -> set[str]:
     return names
 
 
+def _loaded(tree: ast.Module) -> set[str]:
+    """Names the module reads bare."""
+    return {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     tree = _tree(path)
@@ -84,9 +92,29 @@ def test_every_private_name_is_referenced(path):
         name for name in _defined(tree) - set(_imported(tree))
         if name.startswith("_") and not name.startswith("__")
     }
-    read = {
-        node.id for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    }
-    stale = sorted(private - read)
+    stale = sorted(private - _loaded(tree))
     assert not stale, f"{path.name}: module-level private names never referenced {stale}"
+
+
+def _read_from_outside() -> set[str]:
+    """Names the package reads from another module: imported by name, or read
+    as an attribute (``report_mod.run``)."""
+    read: set[str] = set()
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_unexported_public_name_is_read(path):
+    tree = _tree(path)
+    public = {
+        name for name in _defined(tree) - set(_imported(tree)) - set(_exported(tree))
+        if not name.startswith("_")
+    }
+    stale = sorted(public - _loaded(tree) - _read_from_outside())
+    assert not stale, f"{path.name}: public names neither exported nor read {stale}"

@@ -418,3 +418,41 @@ class TestResolveEventDay:
             min_prior_days=201, min_following_days=10,
         )
         assert index == 201
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: PriceSeries("", trading_calendar(date(2014, 1, 6), 2), np.ones(2)),
+         ValueError, "instrument_id must be non-empty"),
+        (lambda: EventRecord("", date(2014, 5, 2)), ValueError, "instrument_id must be non-empty"),
+        (lambda: EventRecord("acme", "2014-05-02"), ValueError, "must be a datetime.date"),
+        (lambda: resolve_event_day(
+            EventRecord("acme", date(2014, 5, 2)), np.array([], dtype="datetime64[D]"),
+            min_prior_days=0, min_following_days=0,
+        ), HistoryError, "acme@2014-05-02: empty trading calendar"),
+    ],
+    ids=["series-without-instrument", "event-without-instrument", "event-date-as-text",
+         "empty-calendar"],
+)
+def test_unusable_input_rejected(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PriceSeries("x", trading_calendar(date(2014, 1, 6), 3), np.array([1.0, 2.0, 3.0])),
+        lambda: AlignedReturns(
+            trading_calendar(date(2014, 1, 6), 3), np.array([0.01, 0.0, -0.01]), np.zeros(3)
+        ),
+    ],
+    ids=["PriceSeries", "AlignedReturns"],
+)
+def test_records_holding_arrays_compare_by_identity(make):
+    # A generated __eq__ would compare the arrays and raise on their truth value.
+    a, b = make(), make()
+    assert (a == b) is False
+    assert a == a
+    hash(a)

@@ -125,6 +125,13 @@ class TestAdditiveFit:
         assert fit.beta == pytest.approx(slope, abs=1e-12)
         assert fit.alpha == pytest.approx(intercept, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_days_is_degenerate(self, n):
+        window = _window([0.01, -0.02][:n], [0.002, 0.004][:n])
+        message = f"need at least 3 estimation days to fit, got {n}"
+        with pytest.raises(DegenerateModelError, match=message):
+            fit_additive_model(window)
+
     def test_constant_market_is_degenerate(self):
         window = _window([0.01, -0.02, 0.005], [0.002, 0.002, 0.002])
         with pytest.raises(DegenerateModelError, match="degenerate regressor"):

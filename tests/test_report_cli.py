@@ -10,7 +10,7 @@ import shutil
 import subprocess
 import sys
 import traceback
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
 from types import SimpleNamespace
@@ -193,6 +193,11 @@ class TestLoadRunConfig:
         universe.config.write_text("price_dir = p\nwhatever = 3\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="unknown key 'whatever'"):
             load_run_config(universe.config)
+
+    @pytest.mark.parametrize("key", ["threshold_lo", "scenarios", "Seed"])
+    def test_unknown_override_rejected(self, universe, key):
+        with pytest.raises(ConfigError, match=f"unknown override '{key}'"):
+            load_run_config(universe.config, {key: "1"})
 
     def test_duplicate_key_rejected(self, universe):
         universe.config.write_text("seed = 1\nseed = 2\n", encoding="utf-8")
@@ -422,7 +427,7 @@ class TestRun:
                 car=0.01, percentile=50.0, impact=Impact.NONE, car_additive=0.01,
                 settings=settings,
             )
-            row = asdict(ReportRow.from_result(result))
+            row = ReportRow.from_result(result)._asdict()
             return {key: row[key] for key in row if key not in RESULT_COLUMNS}
 
         sample = replace(StudySettings(), **{field.name: SETTING_SAMPLES[field.name][1]})
@@ -446,7 +451,7 @@ class TestRenderJson:
     @pytest.mark.parametrize("n_rows", [0, 1, 3])
     def test_bytes_match_one_dump_of_the_whole_report(self, n_rows):
         rows = _report_rows(n_rows)
-        expected = json.dumps({"rows": [asdict(row) for row in rows]}, indent=2) + "\n"
+        expected = json.dumps({"rows": [row._asdict() for row in rows]}, indent=2) + "\n"
         assert render_json(rows) == expected
 
 
