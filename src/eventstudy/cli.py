@@ -114,7 +114,7 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
         keys = ", ".join(event.key for event in matches)
         raise ConfigError(f"{args.event!r} is ambiguous; matches: {keys}")
     event = matches[0]
-    report_mod._check_writable(Path(args.out))
+    report_mod.check_writable(Path(args.out))
 
     market = load_price_series(config.market_file)
     stock = load_price_series(

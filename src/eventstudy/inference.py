@@ -30,6 +30,7 @@ from .bootstrap import (
     generate_distribution,
     percentile_of,
 )
+from .errors import HistoryError
 from .ingest import EventRecord, PriceSeries, align, resolve_event_day
 from .model import (
     DEFAULT_ESTIMATION_DAYS,
@@ -180,13 +181,14 @@ def _measure(
     """
     longest = STANDARD_WINDOWS[-1]
     aligned = align(stock, market)
-    event_index = resolve_event_day(
-        event,
-        aligned.dates,
-        min_prior_days=settings.estimation_days + 1,
-        min_following_days=longest.end_offset,
-    )
+    event_index = resolve_event_day(event, aligned.dates)
     estimation = estimation_window(aligned, event_index, settings.estimation_days)
+    following = len(aligned) - 1 - event_index
+    if following < longest.end_offset:
+        raise HistoryError(
+            f"insufficient history after the event: {following} trading days, "
+            f"need {longest.end_offset}"
+        )
     fit = fit_market_model(estimation)
     pool = abnormal_return(estimation.stock_returns, estimation.market_returns, fit)
     days = slice(event_index - 1, event_index + longest.end_offset + 1)

@@ -304,13 +304,7 @@ def align(stock: PriceSeries, market: PriceSeries) -> AlignedReturns:
     return AlignedReturns(dates=dates[1:], stock_returns=returns[0], market_returns=returns[1])
 
 
-def resolve_event_day(
-    event: EventRecord,
-    calendar: np.ndarray,
-    *,
-    min_prior_days: int,
-    min_following_days: int,
-) -> int:
+def resolve_event_day(event: EventRecord, calendar: np.ndarray) -> int:
     """Map an announcement date to its index on a trading calendar.
 
     ``calendar`` is a strictly increasing ``datetime64[D]`` array, such as
@@ -318,27 +312,15 @@ def resolve_event_day(
 
     An announcement on a non-trading day (weekend, holiday) takes effect on
     the next trading day, since that is the first day the market can react.
-    Raises :class:`HistoryError` when the announcement falls after the last
-    calendar day, or when fewer than ``min_prior_days`` trading days precede
-    the resolved day or fewer than ``min_following_days`` follow it.
+    Raises :class:`HistoryError` when the calendar is empty or the
+    announcement falls after its last day.  The history on either side is
+    checked by the code that cuts those days: the days before by
+    :func:`~eventstudy.model.estimation_window`, the days after by the
+    pipeline in :mod:`eventstudy.inference`.
     """
     if not calendar.size:
         raise HistoryError(f"{event.key}: empty trading calendar")
     index = int(np.searchsorted(calendar, np.datetime64(event.announcement_date, "D")))
     if index == calendar.size:
-        raise HistoryError(
-            f"{event.key}: announcement falls after the last trading day ({calendar[-1]})"
-        )
-    prior = index
-    following = calendar.size - 1 - index
-    if prior < min_prior_days:
-        raise HistoryError(
-            f"{event.key}: insufficient history before the event: "
-            f"{prior} trading days, need {min_prior_days}"
-        )
-    if following < min_following_days:
-        raise HistoryError(
-            f"{event.key}: insufficient history after the event: "
-            f"{following} trading days, need {min_following_days}"
-        )
+        raise HistoryError(f"announcement falls after the last trading day ({calendar[-1]})")
     return index

@@ -47,7 +47,8 @@ def estimation_window(
 
     The window deliberately stops at offset -2 so the day immediately
     before the announcement — where information can leak — stays out of
-    the fit and inside the event windows instead.
+    the fit and inside the event windows instead.  Raises
+    :class:`HistoryError` when fewer than ``days + 1`` days precede the event.
     """
     if days < 3:
         raise ValueError(f"estimation window needs at least 3 days, got {days}")
@@ -55,8 +56,8 @@ def estimation_window(
     stop = event_index - 2  # inclusive
     if start < 0:
         raise HistoryError(
-            f"insufficient history before event index {event_index}: a {days}-day "
-            f"estimation window ending 2 days before it starts at index {start}"
+            f"insufficient history before the event: {event_index} trading days, "
+            f"need {days + 1}"
         )
     return AlignedReturns(
         dates=aligned.dates[start : stop + 1],

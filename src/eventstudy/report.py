@@ -41,6 +41,7 @@ __all__ = [
     "render_csv",
     "render_json",
     "emit_histogram",
+    "check_writable",
     "verify_decision_fixture",
 ]
 
@@ -149,7 +150,7 @@ def _write_atomically(path: Path, content: str) -> None:
         raise
 
 
-def _check_writable(path: Path) -> None:
+def check_writable(path: Path) -> None:
     """Raise :class:`OSError` unless a report could be written at ``path``; create nothing.
 
     The nearest existing ancestor of its directory must be a writable
@@ -213,7 +214,7 @@ def run(config: RunConfig) -> RunOutcome:
     """
     started = time.perf_counter()
     config.check_inputs()
-    _check_writable(config.output)
+    check_writable(config.output)
 
     events = load_event_registry(config.events_file)
     if not events:

@@ -146,6 +146,18 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n_scenarios": 1}, {"n_scenarios": 5, "seed": 2**64 - 1}],
+        ids=["one-scenario", "largest-seed"],
+    )
+    def test_edge_spec_accepted(self, pool, kwargs):
+        spec = ScenarioSpec(draws_k=2, **kwargs)
+        expected = rederive_cars(pool, spec)[:, 1]
+        dist = generate_distribution(pool, spec, references=expected.tolist())
+        assert dist.n == spec.n_scenarios
+        assert_counts_exact(dist, expected)
+
 
 def assert_counts_exact(dist: ScenarioDistribution, cars: np.ndarray) -> None:
     """Every distinct CAR, registered as a reference, counts exactly."""
@@ -495,6 +507,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="too short"):
             generate_distribution(np.array([0.01, 0.02]), spec)
 
+    def test_block_pool_of_one_run_accepted(self):
+        # The only run starts on the pool's first day, so every scenario
+        # compounds the whole pool.
+        pool_values = np.array([0.01, -0.02, 0.03, 0.005, -0.01])
+        spec = ScenarioSpec(draws_k=5, n_scenarios=10, mode="block")
+        dist = generate_distribution(pool_values, spec)
+        assert dist.min_car == dist.max_car == pytest.approx(np.prod(1.0 + pool_values) - 1.0)
+
     def test_pool_past_the_exact_mapping_rejected(self):
         # The limit keeps the largest modulus, MAX_POOL_DAYS**2, well inside
         # the mapping's exact range; one day more is refused in either mode.
@@ -612,6 +632,12 @@ class TestHistogram:
         spec = ScenarioSpec(draws_k=1, n_scenarios=500, seed=4)
         dist = generate_distribution(np.array([0.02, 0.02, 0.02]), spec, histogram_bins=10)
         assert dist.histogram.counts.tolist() == [500]
+        assert dist.histogram.edges.tolist() == [dist.min_car, dist.max_car]
+
+    def test_one_bin_holds_every_scenario(self, pool):
+        spec = ScenarioSpec(draws_k=3, n_scenarios=1_000, seed=2)
+        dist = generate_distribution(pool, spec, histogram_bins=1)
+        assert dist.histogram.counts.tolist() == [1_000]
         assert dist.histogram.edges.tolist() == [dist.min_car, dist.max_car]
 
     def test_histogram_validation(self):

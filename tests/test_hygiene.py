@@ -1,6 +1,6 @@
 """Source hygiene: no leftover imports, no ``__all__`` entry without a definition,
-no unreferenced private helper or unexported public one, no syntax newer than
-the oldest supported Python.
+no unreferenced private helper or unexported public one, no private name read
+from another module, no syntax newer than the oldest supported Python.
 
 A static check over ``src/eventstudy/*.py`` with the standard ``ast`` module,
 so a deletion that leaves an import, an export or a helper behind fails here.
@@ -54,6 +54,10 @@ def _defined(tree: ast.Module) -> set[str]:
     return names
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _loaded(tree: ast.Module) -> set[str]:
     """Names the module reads bare."""
     return {
@@ -88,10 +92,7 @@ def test_parses_as_the_oldest_supported_python(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_private_name_is_referenced(path):
     tree = _tree(path)
-    private = {
-        name for name in _defined(tree) - set(_imported(tree))
-        if name.startswith("_") and not name.startswith("__")
-    }
+    private = {name for name in _defined(tree) - set(_imported(tree)) if _is_private(name)}
     stale = sorted(private - _loaded(tree))
     assert not stale, f"{path.name}: module-level private names never referenced {stale}"
 
@@ -118,3 +119,24 @@ def test_every_unexported_public_name_is_read(path):
     }
     stale = sorted(public - _loaded(tree) - _read_from_outside())
     assert not stale, f"{path.name}: public names neither exported nor read {stale}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_private_name_read_from_another_module(path):
+    # A private name is its module's own: another module that needs it
+    # should read a public one (``from .report import _x`` or
+    # ``report_mod._x`` both fail here).
+    tree = _tree(path)
+    imported = set(_imported(tree))
+    reads = {
+        node.lineno: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if _is_private(alias.name)
+    }
+    reads.update(
+        (node.lineno, f"{node.value.id}.{node.attr}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in imported and _is_private(node.attr)
+    )
+    assert not reads, f"{path.name}: private names read from another module (line: name) {reads}"

@@ -123,6 +123,13 @@ class TestStudySettings:
         assert MAX_POOL_DAYS == 512
         StudySettings(mode=mode, estimation_days=512)  # and 513 is refused above
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"estimation_days": 3}, {"mode": "block", "estimation_days": 12}]
+    )
+    def test_shortest_pool_accepted(self, kwargs):
+        # One day fewer is refused above: 2, and 11 in block mode.
+        assert StudySettings(**kwargs).estimation_days == kwargs["estimation_days"]
+
 
 class TestRunEventStudy:
     def test_five_windows_in_order(self, market):
@@ -201,6 +208,17 @@ class TestRunEventStudy:
         late_event = EventRecord("stock", aligned.dates[-3].item())  # only 2 days follow
         with pytest.raises(HistoryError, match="after the event"):
             run_event_study(late_event, stock, market, FAST)
+
+    def test_ten_following_days_are_enough(self, market):
+        stock = stock_from_market(market)
+        event = EventRecord("stock", align(stock, market).dates[-11].item())
+        assert len(run_event_study(event, stock, market, FAST)) == len(STANDARD_WINDOWS)
+
+    def test_nine_following_days_are_refused(self, market):
+        stock = stock_from_market(market)
+        event = EventRecord("stock", align(stock, market).dates[-10].item())
+        with pytest.raises(HistoryError, match="after the event: 9 trading days, need 10"):
+            run_event_study(event, stock, market, FAST)
 
     def test_nonstandard_settings_are_flagged(self, market):
         stock = stock_from_market(market)

@@ -370,8 +370,7 @@ class TestResolveEventDay:
     def test_trading_day_maps_to_itself(self):
         calendar = self._calendar()
         index = resolve_event_day(
-            EventRecord("x", calendar[210]), np.array(calendar, "datetime64[D]"),
-            min_prior_days=201, min_following_days=10,
+            EventRecord("x", calendar[210]), np.array(calendar, "datetime64[D]")
         )
         assert index == 210
 
@@ -381,43 +380,23 @@ class TestResolveEventDay:
         assert monday.weekday() == 0
         saturday = monday.fromordinal(monday.toordinal() - 2)
         assert saturday.weekday() == 5
-        index = resolve_event_day(
-            EventRecord("x", saturday), np.array(calendar, "datetime64[D]"),
-            min_prior_days=201, min_following_days=10,
-        )
+        index = resolve_event_day(EventRecord("x", saturday), np.array(calendar, "datetime64[D]"))
         assert index == 210
 
     def test_after_last_day_raises(self):
         calendar = self._calendar(10)
         event = EventRecord("x", date(2099, 1, 1))
         with pytest.raises(HistoryError, match="after the last trading day"):
-            resolve_event_day(
-                event, np.array(calendar, "datetime64[D]"), min_prior_days=1, min_following_days=0
-            )
-
-    def test_insufficient_prior_history(self):
-        calendar = self._calendar()
-        with pytest.raises(HistoryError, match="before the event: 200 trading days, need 201"):
-            resolve_event_day(
-                EventRecord("x", calendar[200]), np.array(calendar, "datetime64[D]"),
-                min_prior_days=201, min_following_days=10,
-            )
-
-    def test_insufficient_following_history(self):
-        calendar = self._calendar()
-        with pytest.raises(HistoryError, match="after the event"):
-            resolve_event_day(
-                EventRecord("x", calendar[-3]), np.array(calendar, "datetime64[D]"),
-                min_prior_days=201, min_following_days=10,
-            )
+            resolve_event_day(event, np.array(calendar, "datetime64[D]"))
 
     def test_boundary_day_is_accepted(self):
-        calendar = self._calendar(212)  # exactly 201 before, 10 after index 201
+        # The last trading day is the latest an announcement can be placed;
+        # whether enough days follow it is for the pipeline to judge.
+        calendar = self._calendar(212)
         index = resolve_event_day(
-            EventRecord("x", calendar[201]), np.array(calendar, "datetime64[D]"),
-            min_prior_days=201, min_following_days=10,
+            EventRecord("x", calendar[-1]), np.array(calendar, "datetime64[D]")
         )
-        assert index == 201
+        assert index == 211
 
 
 @pytest.mark.parametrize(
@@ -429,11 +408,12 @@ class TestResolveEventDay:
         (lambda: EventRecord("acme", "2014-05-02"), ValueError, "must be a datetime.date"),
         (lambda: resolve_event_day(
             EventRecord("acme", date(2014, 5, 2)), np.array([], dtype="datetime64[D]"),
-            min_prior_days=0, min_following_days=0,
         ), HistoryError, "acme@2014-05-02: empty trading calendar"),
+        (lambda: PriceSeries("acme", trading_calendar(date(2014, 1, 6), 2), np.array([1.0, 0.0])),
+         ValueError, "acme: prices must be positive and finite"),
     ],
     ids=["series-without-instrument", "event-without-instrument", "event-date-as-text",
-         "empty-calendar"],
+         "empty-calendar", "series-with-zero-price"],
 )
 def test_unusable_input_rejected(build, error, match):
     with pytest.raises(error, match=match):

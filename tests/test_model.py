@@ -98,6 +98,13 @@ class TestFitMarketModel:
         with pytest.raises(ValueError, match="greater than -1"):
             _window([0.01, -1.0, 0.005], [0.002, -0.001, 0.003])
 
+    def test_three_days_are_enough(self):
+        # Three points identify the line; noiseless returns recover it.
+        market = np.array([0.01, -0.02, 0.005])
+        window = _window(1.001 * (1.0 + market) ** 1.3 - 1.0, market)
+        fit = fit_market_model(window)
+        assert (fit.alpha, fit.beta) == pytest.approx((1.001, 1.3), rel=1e-9)
+
     def test_too_short_window(self):
         window = _window([0.01, 0.02], [0.002, 0.003])
         with pytest.raises(DegenerateModelError, match="at least 3"):
@@ -206,6 +213,26 @@ class TestEstimationWindow:
         aligned = align(market, market)
         with pytest.raises(HistoryError, match="insufficient history"):
             estimation_window(aligned, 120, days=200)
+
+    def test_exactly_enough_history_is_accepted(self):
+        # The window's first day is then the calendar's first return day.
+        market = synthetic_market(n_prices=260, seed=2)
+        aligned = align(market, market)
+        window = estimation_window(aligned, 201, days=200)
+        assert window.dates[0] == aligned.dates[0]
+        assert len(window) == 200
+
+    def test_one_day_short_of_history_is_refused(self):
+        market = synthetic_market(n_prices=260, seed=2)
+        aligned = align(market, market)
+        with pytest.raises(HistoryError, match="before the event: 200 trading days, need 201"):
+            estimation_window(aligned, 200, days=200)
+
+    def test_three_days_are_enough(self):
+        market = synthetic_market(n_prices=50, seed=2)
+        aligned = align(market, market)
+        window = estimation_window(aligned, 30, days=3)
+        assert window.dates.tolist() == aligned.dates[26:29].tolist()
 
     def test_rejects_tiny_day_count(self):
         market = synthetic_market(n_prices=50, seed=2)

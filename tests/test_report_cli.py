@@ -703,6 +703,28 @@ class TestCli:
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
         assert not (universe.tmp / "h.csv").exists()
 
+    def test_each_failure_names_its_event_once(self, universe, capsys, caplog):
+        # Too early, too late, and after the last trading day: the CLI line
+        # and the log line name the event, and the message does not again.
+        early, late = _event_days(100, 295)
+        last = _event_days(298)[0]
+        write_events_csv(
+            universe.events_file,
+            [("acme", early, "Acme Corp"), ("acme", late, "Acme Corp"),
+             ("acme", "2099-01-02", "Acme Corp")],
+        )
+        with caplog.at_level("WARNING"):
+            assert main(["run", "--config", str(universe.config)]) == 1
+        failures = [
+            (f"acme@{early}", "insufficient history before the event: 100 trading days, need 201"),
+            (f"acme@{late}", "insufficient history after the event: 3 trading days, need 10"),
+            ("acme@2099-01-02", f"announcement falls after the last trading day ({last})"),
+        ]
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"failed {key}: {message}" for key, message in failures]
+        skipped = [r.getMessage() for r in caplog.records if r.getMessage().startswith("skipping")]
+        assert skipped == [f"skipping {key}: {message}" for key, message in failures]
+
     def test_run_extreme_price_fails_only_its_event(self, universe, capsys):
         day = _give_acme_a_tiny_close(universe)
         assert main(["run", "--config", str(universe.config)]) == 1
