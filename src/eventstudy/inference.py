@@ -54,6 +54,12 @@ __all__ = [
 ]
 
 
+#: Largest |CAR| that is only the rounding of forming it: each day's
+#: abnormal return rounds about five times near 1.0, and compounding adds
+#: one more rounding per day.
+_NOISE_FLOOR = 64 * np.finfo(np.float64).eps
+
+
 class Impact(enum.Enum):
     """Classification of one event window."""
 
@@ -111,13 +117,16 @@ def classify_impact(car: float, percentile: float) -> Impact:
 
     Sign and rank must agree: a negative CAR below the 10th percentile is
     ``Negative``, a positive CAR above the 90th is ``Positive``, anything
-    else — including ties with a cut — is ``None``.
+    else — including ties with a cut — is ``None``.  A CAR within 64 ulps of
+    zero (``_NOISE_FLOOR``) has no sign: it is the rounding of a window in
+    which the stock moved exactly with the market, so it is ``None`` at any
+    rank.
     """
     if not 0.0 <= percentile <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {percentile}")
-    if car < 0.0 and percentile < 10.0:
+    if car < -_NOISE_FLOOR and percentile < 10.0:
         return Impact.NEGATIVE
-    if car > 0.0 and percentile > 90.0:
+    if car > _NOISE_FLOOR and percentile > 90.0:
         return Impact.POSITIVE
     return Impact.NONE
 

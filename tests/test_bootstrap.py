@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +24,7 @@ from eventstudy.bootstrap import (
     generate_distribution,
     percentile_of,
 )
+from eventstudy.errors import DegenerateModelError
 from eventstudy.inference import STANDARD_WINDOWS
 
 
@@ -493,6 +498,93 @@ class TestExactLaw:
             self._assert_within_4_se(dists[k], law, references[k])
 
 
+def multiset_law(gross: np.ndarray, days: int) -> tuple[np.ndarray, np.ndarray]:
+    """The law of a product of ``days`` iid uniform picks from ``gross``: one
+    product per multiset of days, weighted by the number of ordered picks
+    that give it (the weights sum to ``m**days``)."""
+    products, weights = [], []
+    for picks in combinations_with_replacement(range(gross.size), days):
+        repeats = Counter(picks).values()
+        weights.append(math.factorial(days) // math.prod(map(math.factorial, repeats)))
+        products.append(math.prod(float(gross[i]) for i in picks))
+    return np.array(products), np.array(weights, dtype=np.int64)
+
+
+class TestExactLawMeetInTheMiddle:
+    """iid's 5-, 7- and 12-day windows against their exact law, meeting in the middle.
+
+    A ``k``-day iid scenario is ``k`` independent uniform picks from ``m``
+    pool days, so its product splits into a left half of ``j`` days and an
+    independent right half of ``k - j``.  With each half's law listed as
+    weighted products (``multiset_law``), the number of the ``m**k`` ordered
+    scenarios whose product lies below ``t`` is the sum over left products
+    ``x`` of the weight of right products below ``t / x``: one
+    ``searchsorted`` (Horowitz & Sahni 1974).  Small pools keep the lists
+    short: m = 50 (2 + 3 days), m = 30 (3 + 4) and m = 12 (6 + 6).
+
+    Two gaps separate this law from the engine's.  The multiply-shift
+    mapping makes some pairs likelier by a factor of at most ``1 + m**2 /
+    2**32`` (1 + 5.9e-7 at m = 50), far below one standard error.  And the
+    halves multiply the days in another order than the engine, so products
+    within a few ulps of the cut can fall on either side of it; a small
+    pool's law has many such tied atoms, since reordered days give equal
+    products.  So the exact midrank count is bracketed by the counts below
+    ``t * (1 - 64 eps)`` and below ``t * (1 + 64 eps)``, far wider than the
+    at most 11 + 12 roundings of either product; the bracket's width is the
+    mass of the atoms at the cut.  The engine's midrank percentile of 1M
+    scenarios must lie within 4 binomial standard errors of the bracket, and
+    the bracket must be narrower than one standard error.
+
+    The references are engine atoms: CARs of sampled scenarios compounded in
+    the engine's order, near each law's 10th, 50th and 90th percentile, so
+    the engine counts ties at each of them.
+    """
+
+    N_SCENARIOS = 1_000_000
+
+    @pytest.mark.parametrize(
+        "m,left,right,seed", [(50, 2, 3, 3305), (30, 3, 4, 3307), (12, 6, 6, 3312)],
+        ids=["5-day", "7-day", "12-day"],
+    )
+    def test_percentiles_within_4_se_of_the_exact_law(self, m, left, right, seed):
+        k = left + right
+        pool_values = TestExactLaw._pool()[:m]
+        gross = 1.0 + pool_values
+        lefts, left_weights = multiset_law(gross, left)
+        rights, right_weights = multiset_law(gross, right)
+        assert left_weights.sum() == m**left and right_weights.sum() == m**right
+        order = np.argsort(rights)
+        rights = rights[order]
+        weight_below = np.concatenate(([0], np.cumsum(right_weights[order])))
+
+        def share_below(t: float) -> float:
+            below = weight_below[np.searchsorted(rights, t / lefts)]
+            return int(left_weights @ below) / m**k
+
+        # Sampled scenarios in the engine's order: a running product of pair
+        # factors, an odd window's last day multiplied in last.
+        days = np.random.default_rng(seed).integers(0, m, size=(20_001, k))
+        product = np.ones(days.shape[0])
+        for c in range(k // 2):
+            product = (gross[days[:, 2 * c]] * gross[days[:, 2 * c + 1]]) * product
+        if k % 2:
+            product = gross[days[:, -1]] * product
+        ranked = np.sort(product - 1.0)
+        references = tuple(float(ranked[int(q * ranked.size)]) for q in (0.1, 0.5, 0.9))
+
+        spec = ScenarioSpec(draws_k=k, n_scenarios=self.N_SCENARIOS, seed=seed)
+        dist = generate_distribution(pool_values, spec, references={k: references})[k]
+        slack = 64 * np.finfo(np.float64).eps
+        for value in references:
+            t = 1.0 + value  # exact: the engine's product itself
+            low = 100.0 * share_below(t * (1.0 - slack))
+            high = 100.0 * share_below(t * (1.0 + slack))
+            p = (low + high) / 200.0
+            se = 100.0 * np.sqrt(p * (1.0 - p) / self.N_SCENARIOS)
+            assert high - low < se, (value, low, high)
+            assert low - 4 * se < percentile_of(dist, value) < high + 4 * se, (value, low, high)
+
+
 class TestValidation:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="empty abnormal-return pool"):
@@ -611,16 +703,21 @@ class TestPercentile:
         assert percentiles == sorted(percentiles)
 
 
+def three_day_extremes(pool: np.ndarray) -> list[float]:
+    """The 3-day iid CARs of the pool's lowest and highest day, in engine order:
+    the odd window multiplies the pair factor ``g * g`` by ``g``."""
+    return [g * (g * g) - 1.0 for g in (1.0 + pool.min(), 1.0 + pool.max())]
+
+
 class TestHistogram:
-    def test_counts_conserved_and_span_observed_range(self, pool):
+    def test_counts_conserved_and_span_the_extreme_day_bracket(self, pool):
         spec = ScenarioSpec(draws_k=3, n_scenarios=20_000, seed=2)
         dist = generate_distribution(pool, spec, histogram_bins=17)
         hist = dist.histogram
         assert int(hist.counts.sum()) == spec.n_scenarios
         assert hist.counts.size == 17
-        assert hist.edges[0] == dist.min_car
-        assert hist.edges[-1] == dist.max_car
-        assert hist.counts[0] > 0 and hist.counts[-1] > 0  # min and max land inside
+        assert [hist.edges[0], hist.edges[-1]] == three_day_extremes(pool)
+        assert hist.edges[0] < dist.min_car and dist.max_car < hist.edges[-1]
 
     def test_three_cluster_pool(self):
         spec = ScenarioSpec(draws_k=2, n_scenarios=10_000, seed=4)
@@ -638,11 +735,95 @@ class TestHistogram:
         spec = ScenarioSpec(draws_k=3, n_scenarios=1_000, seed=2)
         dist = generate_distribution(pool, spec, histogram_bins=1)
         assert dist.histogram.counts.tolist() == [1_000]
-        assert dist.histogram.edges.tolist() == [dist.min_car, dist.max_car]
+        assert dist.histogram.edges.tolist() == three_day_extremes(pool)
 
     def test_histogram_validation(self):
         with pytest.raises(ValueError, match="edges"):
             Histogram(edges=np.array([0.0, 1.0, 2.0]), counts=np.array([5]))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_scenario_generated_once(self, pool, monkeypatch, workers):
+        # The bracket reads two one-scenario pools of equal days; the
+        # resampled pool's scenarios are generated once, counted and binned
+        # in the same pass.
+        calls = []
+        engine = bootstrap._window_cars
+
+        def recording(pool_gross, spec, windows, start, count):
+            calls.append((np.ptp(pool_gross) == 0.0, start, count))
+            return engine(pool_gross, spec, windows, start, count)
+
+        monkeypatch.setattr(bootstrap, "_SLAB_ROWS", 34)
+        monkeypatch.setattr(bootstrap, "_window_cars", recording)
+        spec = ScenarioSpec(draws_k=12, n_scenarios=1_001, seed=8)
+        generate_distribution(pool, spec, references={2: (), 12: ()}, histogram_bins=9,
+                              workers=workers)
+        assert [(start, count) for constant, start, count in calls if constant] == [(0, 1)] * 2
+        runs = sorted((start, count) for constant, start, count in calls if not constant)
+        assert len(runs) == workers
+        assert sum(count for _, count in runs) == spec.n_scenarios
+        assert all(a + n == b for (a, n), (b, _) in zip(runs, runs[1:]))
+
+    @pytest.mark.usefixtures("small_slabs")
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", ["iid", "block"])
+    def test_counts_are_the_histogram_of_every_scenario(self, pool, mode, workers):
+        # 1,001 scenarios fill no whole number of 34-row slabs.
+        spec = ScenarioSpec(draws_k=12, n_scenarios=1_001, seed=19, mode=mode)
+        expected = rederive_cars(pool, spec)
+        windows = (2, 3, 5, 7, 12)
+        dists = generate_distribution(
+            pool, spec, references={k: () for k in windows}, histogram_bins=23, workers=workers
+        )
+        for k in windows:
+            hist = dists[k].histogram
+            assert hist.edges[0] <= dists[k].min_car and dists[k].max_car <= hist.edges[-1]
+            assert np.array_equal(hist.counts, np.histogram(expected[:, k - 1], hist.edges)[0])
+            assert int(hist.counts.sum()) == spec.n_scenarios
+
+    def test_overflowing_bracket_refused(self, pool):
+        # 1e30 compounded over 12 days overflows, though no drawn scenario
+        # picks it that often: the counts are finite, a histogram range is not.
+        extreme = np.append(pool, 1e30)
+        spec = ScenarioSpec(draws_k=12, n_scenarios=1_000, seed=8)
+        assert generate_distribution(extreme, spec).max_car < np.inf
+        with pytest.raises(DegenerateModelError, match="largest 12-day CAR this pool can give"):
+            generate_distribution(extreme, spec, histogram_bins=10)
+        # In block mode only a run of such days can overflow.
+        run = np.concatenate([pool, np.full(12, 1e30)])
+        block = ScenarioSpec(draws_k=12, n_scenarios=1_000, seed=8, mode="block")
+        with pytest.raises(DegenerateModelError, match="largest 12-day CAR this pool can give"):
+            generate_distribution(run, block, histogram_bins=10)
+
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_block_range_is_the_run_tables_extremes(self, pool, k):
+        # A block CAR is one of the m - k + 1 start products, multiplied left
+        # to right, so the range is exactly theirs; 2,000 draws visit each of
+        # a 30-day pool's starts, so the observed CARs reach both ends.
+        gross = 1.0 + pool[:30]
+        runs = gross[: gross.size - k + 1]
+        for day in range(1, k):
+            runs = runs * gross[day : day + runs.size]
+        spec = ScenarioSpec(draws_k=12, n_scenarios=2_000, seed=3, mode="block")
+        dist = generate_distribution(pool[:30], spec, references={k: ()}, histogram_bins=10)[k]
+        ends = [dist.histogram.edges[0], dist.histogram.edges[-1]]
+        assert ends == [runs.min() - 1.0, runs.max() - 1.0] == [dist.min_car, dist.max_car]
+
+    @pytest.mark.parametrize("mode", ["iid", "block"])
+    def test_edges_depend_only_on_pool_window_and_bins(self, pool, mode):
+        windows = {k: () for k in (1, 2, 3, 5, 12)}
+        runs = [
+            generate_distribution(
+                pool, ScenarioSpec(draws_k=12, n_scenarios=n, seed=seed, mode=mode),
+                references=windows, histogram_bins=40, workers=workers,
+            )
+            for n, seed, workers in [(1, 0, 1), (9_000, 5, 1), (9_000, 6, 2), (20_000, 5, 3)]
+        ]
+        for k in windows:
+            first = runs[0][k].histogram.edges
+            assert first.size == 41
+            for other in runs[1:]:
+                assert np.array_equal(other[k].histogram.edges, first)
 
 
 class TestDeriveSeed:
@@ -672,7 +853,11 @@ class TestPoolInvariants:
         if mode == "block" and pool_values.size < draws:
             return
         spec = ScenarioSpec(draws_k=draws, n_scenarios=300, seed=seed, mode=mode)
-        dist = generate_distribution(pool_values, spec)
+        dist = generate_distribution(pool_values, spec, histogram_bins=7)
+        # The histogram's bracket holds every CAR exactly: no slack.
+        edges = dist.histogram.edges
+        assert edges[0] <= dist.min_car and dist.max_car <= edges[-1]
+        assert int(dist.histogram.counts.sum()) == spec.n_scenarios
         gross = 1.0 + pool_values
         lowest = float(min(gross.min() ** draws, gross.max() ** draws, 1e300))
         highest = float(gross.max() ** draws)

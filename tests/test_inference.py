@@ -62,6 +62,14 @@ class TestClassifyImpact:
         assert classify_impact(0.0, 95.0) is Impact.NONE  # zero CAR is never an impact
         assert classify_impact(0.0, 5.0) is Impact.NONE
 
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_car_within_64_ulps_of_zero_has_no_sign(self, sign):
+        floor = 64 * np.finfo(np.float64).eps
+        tail = 0.0 if sign < 0 else 100.0
+        assert classify_impact(sign * floor, tail) is Impact.NONE
+        above = classify_impact(sign * np.nextafter(floor, 1.0), tail)
+        assert above is (Impact.NEGATIVE if sign < 0 else Impact.POSITIVE)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="percentile"):
             classify_impact(0.0, 101.0)
@@ -188,7 +196,8 @@ class TestRunEventStudy:
         # Estimation days mirror the market exactly (beta = alpha = 1 by
         # construction); the event days move +10% then -10% against a flat
         # market, so the multiplicative CAR is -1% while the additive CAR
-        # cancels to zero.
+        # cancels to zero.  The pool is rounding noise, which a real move
+        # lies below: the window is Negative.
         flat = market.prices.copy()
         flat[EVENT_INDEX + 1] = flat[EVENT_INDEX]  # market flat on day 0
         flat[EVENT_INDEX + 2] = flat[EVENT_INDEX]  # and on day +1
@@ -201,6 +210,7 @@ class TestRunEventStudy:
         result = next(r for r in results if r.window == EventWindow(1))
         assert result.car == pytest.approx(-0.01, abs=1e-9)
         assert result.car_additive == pytest.approx(0.0, abs=1e-9)
+        assert result.percentile == 0.0 and result.impact is Impact.NEGATIVE
 
     def test_insufficient_history_raises_before_any_result(self, market):
         stock = stock_from_market(market)
@@ -219,6 +229,19 @@ class TestRunEventStudy:
         event = EventRecord("stock", align(stock, market).dates[-10].item())
         with pytest.raises(HistoryError, match="after the event: 9 trading days, need 10"):
             run_event_study(event, stock, market, FAST)
+
+    def test_fixed_multiple_of_the_market_is_judged_none(self, market):
+        # Every CAR is rounding noise of a few 1e-16, and so is the pool it
+        # is ranked in; the rank is not a move, so each window is None.
+        twin = PriceSeries("stock", market.dates, 3.0 * market.prices)
+        event = _event_for(market)
+        results = run_event_study(event, twin, market, FAST)
+        assert all(abs(r.car) <= 64 * np.finfo(np.float64).eps for r in results)
+        assert [r.impact for r in results] == [Impact.NONE] * len(STANDARD_WINDOWS)
+        dist, _ = event_scenario_distribution(
+            event, twin, market, STANDARD_WINDOWS[0], FAST, histogram_bins=10
+        )
+        assert int(dist.histogram.counts.sum()) == FAST.n_scenarios
 
     def test_nonstandard_settings_are_flagged(self, market):
         stock = stock_from_market(market)

@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import traceback
 from dataclasses import fields, replace
 from datetime import date
@@ -409,9 +410,12 @@ class TestRun:
             run(config)
 
     def test_throughput_in_outcome_not_in_report(self, universe):
+        started = time.perf_counter()
         outcome = run(load_run_config(universe.config))
-        assert outcome.scenarios_per_second and outcome.scenarios_per_second > 0
-        assert outcome.elapsed_seconds > 0
+        assert 0 < outcome.elapsed_seconds <= time.perf_counter() - started
+        assert outcome.scenarios_per_second == pytest.approx(
+            len(outcome.rows) * 2000 / outcome.elapsed_seconds, rel=1e-12
+        )
         header = outcome.report_path.read_text(encoding="utf-8").splitlines()[0]
         assert "elapsed" not in header and "scenarios_per_second" not in header
 
@@ -593,6 +597,15 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == "configuration error: --bins must be >= 1, got 0\n"
         assert not out.exists()
+
+    def test_histogram_of_one_bin(self, universe):
+        out = universe.tmp / "h.csv"
+        code = main([
+            "histogram", "--config", str(universe.config),
+            "--event", "acme", "--window", "[-1,0]", "--bins", "1", "--out", str(out),
+        ])
+        assert code == 0
+        assert [int(row["count"]) for row in _read_csv(out)] == [2000]
 
     def test_histogram_by_bare_instrument_id(self, universe):
         out = universe.tmp / "hist.csv"
