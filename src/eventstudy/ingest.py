@@ -19,6 +19,8 @@ per day; ``dates[i].item()`` gives the ``datetime.date``.  An event's
 from __future__ import annotations
 
 import csv
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date
 from operator import itemgetter
@@ -148,15 +150,15 @@ class AlignedReturns:
 
 def read_csv_rows(
     path: Path, required: tuple[str, ...], optional: tuple[str, ...] = ()
-) -> list[tuple[int, tuple[str | None, ...]]]:
-    """Read a CSV file and return ``(line_number, fields)`` pairs.
+) -> Iterator[tuple[int, tuple[str | None, ...]]]:
+    """Read a CSV file, yielding ``(line_number, fields)`` pairs as the rows are read.
 
     ``fields`` holds the row's values in the columns ``required + optional``
     (at least two), in that order; a value the row lacks, or an optional
     column the header lacks, reads as ``None``.  Blank lines are skipped, and
     so is a leading UTF-8 byte-order mark (Excel's "CSV UTF-8").  Raises
-    :class:`DataFormatError` if the file is unreadable or the header is
-    missing any of ``required``.
+    :class:`DataFormatError`, when the first row is asked for, if the file is
+    unreadable or the header is missing any of ``required``.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -175,15 +177,13 @@ def read_csv_rows(
             # one None slot past it that an absent optional column reads.
             pick = itemgetter(*(position.get(col, n_columns) for col in required + optional))
             padding = [None] * n_columns
-            rows = []
             for row in reader:
                 if not row:
                     continue
                 if len(row) != n_columns:
                     row = (row + padding)[:n_columns]
                 row.append(None)
-                rows.append((reader.line_num, pick(row)))
-            return rows
+                yield reader.line_num, pick(row)
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read file ({exc})") from exc
 
@@ -193,8 +193,13 @@ _EPOCH = date(1970, 1, 1).toordinal()
 
 
 def _parse_iso_date(raw: str, path: Path, line_num: int) -> date:
+    text = raw.strip()
     try:
-        return date.fromisoformat(raw.strip())
+        # Python 3.11 and later also read basic and week forms such as
+        # 20150105 and 2015-W02-1; only YYYY-MM-DD is a date here.
+        if len(text) != 10 or text[4] != "-" or text[7] != "-":
+            raise ValueError("not YYYY-MM-DD")
+        return date.fromisoformat(text)
     except ValueError as exc:
         raise DataFormatError(
             f"{path}: row {line_num}: unparsable date {raw!r} (expected YYYY-MM-DD)"
@@ -212,32 +217,32 @@ def load_price_series(path: str | Path, *, instrument_id: str | None = None) -> 
     file's stem.
     """
     path = Path(path)
-    rows = read_csv_rows(path, ("date", "close"))
     if instrument_id is None:
         instrument_id = path.stem
 
     days: list[date] = []
     closes: list[float] = []
-    for line_num, (raw_day, raw_close) in rows:
+    lines: list[int] = []
+    bad_price: str | None = None  # the first, reported once every field has parsed
+    for line_num, (raw_day, raw_close) in read_csv_rows(path, ("date", "close")):
         days.append(_parse_iso_date(raw_day or "", path, line_num))
         raw_price = (raw_close or "").strip()
         try:
-            closes.append(float(raw_price))
+            price = float(raw_price)
         except ValueError as exc:
             raise DataFormatError(
                 f"{path}: row {line_num}: unparsable price {raw_price!r}"
             ) from exc
-    prices = np.array(closes, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(prices) | (prices <= 0.0))
-    if bad.size:
-        line_num, (_, raw_close) = rows[bad[0]]
-        raise DataFormatError(
-            f"{path}: row {line_num}: price must be positive and finite, "
-            f"got {raw_close.strip()}"
-        )
+        # Written as "not inside" so that NaN fails it too.
+        if bad_price is None and not 0.0 < price < math.inf:
+            bad_price = f"row {line_num}: price must be positive and finite, got {raw_price}"
+        closes.append(price)
+        lines.append(line_num)
+    if bad_price is not None:
+        raise DataFormatError(f"{path}: {bad_price}")
     if len(set(days)) < len(days):
         first_row: dict[date, int] = {}
-        for (line_num, _), day in zip(rows, days):
+        for line_num, day in zip(lines, days):
             seen_at = first_row.setdefault(day, line_num)
             if seen_at != line_num:
                 raise DataFormatError(
@@ -253,22 +258,35 @@ def load_price_series(path: str | Path, *, instrument_id: str | None = None) -> 
     return PriceSeries(
         instrument_id=instrument_id,
         dates=day_numbers[order].view("datetime64[D]"),
-        prices=prices[order],
+        prices=np.array(closes, dtype=np.float64)[order],
     )
 
 
 def load_event_registry(path: str | Path) -> list[EventRecord]:
-    """Load the event registry: one announcement per row, in file order."""
+    """Load the event registry: one announcement per row, in file order.
+
+    An event (instrument and date) listed twice raises
+    :class:`DataFormatError` naming both rows.
+    """
     path = Path(path)
-    rows = read_csv_rows(path, ("instrument_id", "date"), ("label",))
     events: list[EventRecord] = []
-    for line_num, (raw_instrument, raw_day, raw_label) in rows:
+    first_row: dict[str, int] = {}
+    for line_num, (raw_instrument, raw_day, raw_label) in read_csv_rows(
+        path, ("instrument_id", "date"), ("label",)
+    ):
         instrument = (raw_instrument or "").strip()
         if not instrument:
             raise DataFormatError(f"{path}: row {line_num}: empty instrument_id")
         day = _parse_iso_date(raw_day or "", path, line_num)
         label = (raw_label or "").strip()
-        events.append(EventRecord(instrument_id=instrument, announcement_date=day, label=label))
+        event = EventRecord(instrument_id=instrument, announcement_date=day, label=label)
+        seen_at = first_row.setdefault(event.key, line_num)
+        if seen_at != line_num:
+            raise DataFormatError(
+                f"{path}: row {line_num}: duplicate event {event.key} "
+                f"(first seen at row {seen_at})"
+            )
+        events.append(event)
     return events
 
 

@@ -112,15 +112,20 @@ def render_json(rows: list[ReportRow]) -> str:
     """Render rows as JSON, keeping floats at full precision.
 
     The bytes are those of ``json.dumps({"rows": [...]}, indent=2)`` plus a
-    final newline, but each row is encoded on its own, so the encoder's
-    pieces of the whole report never exist at once.
+    final newline.  A row is flat, so the C encoder with the indent written
+    into its item separator gives the indented row, and one join builds the
+    report around the rows.
     """
     import json  # only JSON reports need the encoder
 
     if not rows:
-        return json.dumps({"rows": []}, indent=2) + "\n"
-    encoded = (json.dumps(row._asdict(), indent=2).replace("\n", "\n    ") for row in rows)
-    return '{\n  "rows": [\n    ' + ",\n    ".join(encoded) + "\n  ]\n}\n"
+        return '{\n  "rows": []\n}\n'
+    encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+    pieces = ['{\n  "rows": [']
+    for row in rows:
+        pieces += ("\n    {\n      ", encode(row._asdict())[1:-1], "\n    },")
+    pieces[-1] = "\n    }\n  ]\n}\n"  # the last row takes no comma and closes the report
+    return "".join(pieces)
 
 
 @dataclass
@@ -282,7 +287,9 @@ def verify_decision_fixture(path: str | Path) -> tuple[int, list[str]]:
     rows = read_csv_rows(path, ("company", "event_period", "car", "percentile", "impact"))
     valid_labels = {"Negative", "None", "Positive"}
     mismatches: list[str] = []
+    checked = 0
     for line, (company, event_period, raw_car, raw_percentile, raw_impact) in rows:
+        checked += 1
         expected = (raw_impact or "").strip()
         if expected not in valid_labels:
             raise DataFormatError(
@@ -301,4 +308,4 @@ def verify_decision_fixture(path: str | Path) -> tuple[int, list[str]]:
                 f"published {expected}, computed {computed} "
                 f"(car={car}, percentile={percentile})"
             )
-    return len(rows), mismatches
+    return checked, mismatches

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -81,6 +82,15 @@ class TestLoadPriceSeries:
         with pytest.raises(DataFormatError, match=r"row 3.*06/01/2014"):
             load_price_series(_write_rows(tmp_path / "x.csv", rows))
 
+    @pytest.mark.parametrize("raw", ["20150105", "2015W021", "2015-W02-1"])
+    def test_only_dashed_calendar_dates(self, tmp_path, raw):
+        # Python 3.11 and later read these through date.fromisoformat; 3.10 does not.
+        rows = [("2015-01-02", "100.0"), (raw, "101.0")]
+        with pytest.raises(
+            DataFormatError, match=rf"row 3: unparsable date '{raw}' \(expected YYYY-MM-DD\)"
+        ):
+            load_price_series(_write_rows(tmp_path / "x.csv", rows))
+
     def test_bad_price_names_row(self, tmp_path):
         rows = [("2014-01-06", "100.0"), ("2014-01-07", "n/a")]
         with pytest.raises(DataFormatError, match=r"row 3.*'n/a'"):
@@ -108,6 +118,41 @@ class TestLoadPriceSeries:
             DataFormatError, match=r"row 4: duplicate date 2014-01-08 \(first seen at row 2\)"
         ):
             load_price_series(_write_rows(tmp_path / "x.csv", rows))
+
+    def test_bad_price_before_a_later_unparsable_field(self, tmp_path):
+        rows = [("2014-01-06", "-1.0"), ("2014-01-07", "101.0"), ("2014-01-08", "n/a")]
+        with pytest.raises(DataFormatError, match=r"row 4: unparsable price 'n/a'"):
+            load_price_series(_write_rows(tmp_path / "x.csv", rows))
+
+    def test_first_bad_price_before_an_earlier_duplicate_date(self, tmp_path):
+        rows = [
+            ("2014-01-06", "100.0"),
+            ("2014-01-06", "101.0"),
+            ("2014-01-07", " 0 "),
+            ("2014-01-08", "nan"),
+        ]
+        with pytest.raises(
+            DataFormatError, match=r"row 4: price must be positive and finite, got 0$"
+        ):
+            load_price_series(_write_rows(tmp_path / "x.csv", rows))
+
+    def test_parse_peak_memory_per_row(self, tmp_path):
+        # Rows are parsed as they are read, so no per-row list of the file's
+        # fields is held; traced allocations, not RSS, so the figure repeats.
+        n_rows = 20_000
+        days = np.datetime64("1990-01-01") + np.arange(n_rows)
+        rows = [(str(day), f"{100.0 + (i % 97) * 0.37:.4f}") for i, day in enumerate(days)]
+        np.random.default_rng(7).shuffle(rows)
+        path = _write_rows(tmp_path / "long.csv", rows)
+        load_price_series(path)  # warm: first-call imports and caches are not per row
+        tracemalloc.start()
+        try:
+            series = load_price_series(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == n_rows
+        assert peak / n_rows < 300
 
     def test_too_few_rows(self, tmp_path):
         with pytest.raises(DataFormatError, match="at least 2"):
@@ -196,6 +241,32 @@ class TestEventRegistry:
             tmp_path / "events.csv", [("", "2014-05-02")], header=("instrument_id", "date")
         )
         with pytest.raises(DataFormatError, match="row 2.*empty instrument_id"):
+            load_event_registry(path)
+
+    @pytest.mark.parametrize("raw", ["20150105", "2015W021", "2015-W02-1"])
+    def test_only_dashed_calendar_dates(self, tmp_path, raw):
+        path = _write_rows(
+            tmp_path / "events.csv",
+            [("acme", "2015-01-02"), ("beta", raw)],
+            header=("instrument_id", "date"),
+        )
+        with pytest.raises(
+            DataFormatError, match=rf"row 3: unparsable date '{raw}' \(expected YYYY-MM-DD\)"
+        ):
+            load_event_registry(path)
+
+    def test_repeated_event_rejected(self, tmp_path):
+        # The label does not tell events apart: the key is instrument and date.
+        path = _write_rows(
+            tmp_path / "events.csv",
+            [("acme", "2014-05-02", "Acme"), ("beta", "2014-05-02", ""),
+             ("acme", "2014-05-05", ""), ("acme", "2014-05-02", "Acme Corp")],
+            header=("instrument_id", "date", "label"),
+        )
+        with pytest.raises(
+            DataFormatError,
+            match=r"row 5: duplicate event acme@2014-05-02 \(first seen at row 2\)$",
+        ):
             load_event_registry(path)
 
     def test_event_key(self):
@@ -357,10 +428,10 @@ class TestReadCsvRowsMatchesReference:
             expected = _reference_read_csv_rows(path, *columns)
         except DataFormatError as exc:
             with pytest.raises(DataFormatError) as raised:
-                read_csv_rows(path, *columns)
+                list(read_csv_rows(path, *columns))
             assert str(raised.value) == str(exc)
             return
-        assert read_csv_rows(path, *columns) == expected
+        assert list(read_csv_rows(path, *columns)) == expected
 
 
 class TestResolveEventDay:

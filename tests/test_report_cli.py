@@ -458,6 +458,21 @@ class TestRenderJson:
         expected = json.dumps({"rows": [row._asdict() for row in rows]}, indent=2) + "\n"
         assert render_json(rows) == expected
 
+    def test_edge_floats_and_escapes_match_one_dump(self):
+        # Signed zero, the smallest subnormal, a float past 2**53, a value with
+        # no short decimal and the largest float; a company name holding a
+        # backslash, a tab, a control character, a quote and a non-BMP character.
+        floats = [-0.0, 5e-324, 1e16, 0.1, 1.7976931348623157e308]
+        companies = ["back\\slash", "tab\there", "ctrl\x01", 'say "hi"', "clef \U0001d11e"]
+        base = _report_rows(1)[0]
+        rows = [
+            base._replace(company=company, car=value, car_additive=-value)
+            for company, value in zip(companies, floats)
+        ]
+        for chosen in [[row] for row in rows] + [rows]:
+            expected = json.dumps({"rows": [row._asdict() for row in chosen]}, indent=2) + "\n"
+            assert render_json(chosen) == expected
+
 
 class TestCli:
     def test_run_success_exit_zero(self, universe, capsys):
@@ -587,6 +602,29 @@ class TestCli:
             argv += ["--event", "acme", "--window", "[-1,1]"]
         assert main([command, *argv]) == 0
         assert out.is_file()
+
+    @pytest.mark.parametrize("command", ["run", "histogram"])
+    def test_repeated_registry_event_exit_one(self, universe, capsys, monkeypatch, command):
+        def judge(*args, **kwargs):
+            raise AssertionError("an event was judged from a registry that repeats one")
+
+        monkeypatch.setattr(report_module, "run_event_study", judge)
+        monkeypatch.setattr(cli_module, "event_scenario_distribution", judge)
+        write_events_csv(universe.events_file, [
+            ("acme", universe.event_day, "Acme Corp"),
+            ("bravo", universe.event_day, "Bravo Inc"),
+            ("acme", universe.event_day, "Acme Corp"),
+        ])
+        out = universe.tmp / "out.csv"
+        argv = ["--config", str(universe.config), "--out", str(out)]
+        if command == "histogram":
+            argv += ["--event", f"acme@{universe.event_day}", "--window", "[-1,0]"]
+        assert main([command, *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {universe.events_file}: row 4: duplicate event "
+            f"acme@{universe.event_day} (first seen at row 2)\n"
+        )
+        assert list(universe.tmp.glob("out.csv*")) == []
 
     def test_histogram_zero_bins_exit_two(self, universe, capsys):
         out = universe.tmp / "h.csv"
