@@ -179,12 +179,8 @@ class Histogram:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        edges = np.asarray(self.edges, dtype=np.float64)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "counts", counts)
-        if edges.size != counts.size + 1:
-            raise ValueError(f"{edges.size} edges for {counts.size} bins")
+        if self.edges.size != self.counts.size + 1:
+            raise ValueError(f"{self.edges.size} edges for {self.counts.size} bins")
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,14 +228,20 @@ def cumulative_abnormal_return(abnormal_returns: Iterable[float] | np.ndarray) -
 
     Gross abnormal returns multiply across days: ``prod(1 + ar) - 1``.
     Compounding +10% with -10% therefore nets -1%, not zero — the whole
-    reason the pipeline is multiplicative.
+    reason the pipeline is multiplicative.  Finite days whose product
+    overflows raise :class:`~eventstudy.errors.DegenerateModelError`: no
+    finite CAR is left to judge.
     """
     arr = np.asarray(abnormal_returns, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("empty window: need at least one abnormal return")
     if not np.all(np.isfinite(arr) & (arr > -1.0)):
         raise ValueError("abnormal returns must be finite; one <= -1 leaves no value to compound")
-    return float(np.prod(1.0 + arr) - 1.0)
+    with np.errstate(over="ignore"):  # an overflowing product is refused below
+        gross = np.prod(1.0 + arr)
+    if gross == np.inf:
+        raise DegenerateModelError(f"the {arr.size}-day CAR overflows")
+    return float(gross - 1.0)
 
 
 def derive_seed(root_seed: int, key: str) -> int:
@@ -458,15 +460,15 @@ def generate_distribution(
         return totals
 
     if len(runs) == 1:  # no executor: the run stays in this thread
-        summaries = one_run(runs[0])
+        by_run = [one_run(runs[0])]
     else:
         # Imported here, so that a single-run process never loads the pool.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=len(runs)) as pool_exec:
             by_run = list(pool_exec.map(one_run, runs))
-        # Every slab yields every window, so every run holds every key.
-        summaries = {k: reduce(combine, (totals[k] for totals in by_run)) for k in by_run[0]}
+    # Every slab yields every window, so every run holds every key.
+    summaries = {k: reduce(combine, (totals[k] for totals in by_run)) for k in by_run[0]}
 
     distributions = {
         k: ScenarioDistribution(
@@ -488,6 +490,5 @@ def percentile_of(distribution: ScenarioDistribution, value: float) -> float:
     scenarios the result moves in steps of ``100 / (2n)``, so five million
     scenarios resolve one two-hundred-thousandth of a percentile.
     """
-    below = distribution.count_below(value)
-    equal = distribution.count_equal(value)
+    below, equal = distribution._registered(value)
     return 100.0 * (below + 0.5 * equal) / distribution.n

@@ -39,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a full study and write its report")
     run_p.add_argument("--config", required=True, help="path to a key=value config file")
     _add_overrides(run_p)
-    run_p.add_argument("--out", help="report path (overrides the config file)")
+    run_p.add_argument("--out", dest="output", metavar="OUT",
+                       help="report path (overrides the config file)")
     run_p.add_argument("--format", choices=("csv", "json"), help="report format")
 
     hist_p = sub.add_parser(
@@ -66,22 +67,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="root seed (overrides the config file)")
     parser.add_argument("--mode", choices=("iid", "block"), help="resampling mode")
-    parser.add_argument("--scenarios", type=int, help="scenarios per distribution")
+    parser.add_argument("--scenarios", dest="n_scenarios", metavar="SCENARIOS", type=int,
+                        help="scenarios per distribution")
     parser.add_argument(
         "--workers", type=int, help="generation threads; results are identical for any value"
     )
 
 
-def _overrides(args: argparse.Namespace) -> dict[str, str]:
-    mapping = {
-        "seed": args.seed,
-        "mode": args.mode,
-        "n_scenarios": args.scenarios,
-        "workers": args.workers,
-        "output": getattr(args, "out", None) if args.command == "run" else None,
-        "format": getattr(args, "format", None),
-    }
-    return {key: value for key, value in mapping.items() if value is not None}
+#: The config keys that flags can set: each such flag's ``dest`` is its key.
+_CONFIG_KEYS = ("seed", "mode", "n_scenarios", "workers", "output", "format")
+
+
+def _overrides(args: argparse.Namespace) -> dict[str, str | None]:
+    """Each config key's flag value; ``None`` (not given, or no such flag) keeps the file's."""
+    return {key: getattr(args, key, None) for key in _CONFIG_KEYS}
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -1,10 +1,15 @@
-"""Event windows, the percentile decision rule, and the per-event pipeline.
+"""Where an event's days lie, the percentile decision rule, and the per-event pipeline.
 
-An event window always opens one trading day before the announcement (to
-catch leakage) and closes 0, 1, 3, 5, or 10 days after it; these five are
-the only members of :class:`EventWindow`.  For each window the pipeline
-compares the observed cumulative abnormal return against a resampled
-no-impact distribution of the same length and classifies the event:
+This module places an event, cuts its days and judges it.  The announcement
+falls on the first trading day on or after its date.  An event window
+always opens one trading day before it (to catch leakage) and closes 0, 1,
+3, 5, or 10 days after it; these five are the only members of
+:class:`EventWindow`.  The estimation window therefore stops two days before
+the announcement.  Both history checks live here: the days before the event
+are checked where the estimation window is cut, the days after it where the
+event windows are.  For each window the pipeline compares the observed
+cumulative abnormal return against a resampled no-impact distribution of
+the same length and classifies the event:
 
 * ``Negative`` — the CAR is below zero *and* sits below the 10th percentile.
 * ``Positive`` — the CAR is above zero *and* sits above the 90th percentile.
@@ -31,12 +36,10 @@ from .bootstrap import (
     percentile_of,
 )
 from .errors import HistoryError
-from .ingest import EventRecord, PriceSeries, align, resolve_event_day
+from .ingest import AlignedReturns, EventRecord, PriceSeries, align
 from .model import (
-    DEFAULT_ESTIMATION_DAYS,
     abnormal_return,
     additive_abnormal_return,
-    estimation_window,
     fit_additive_model,
     fit_market_model,
 )
@@ -45,6 +48,9 @@ __all__ = [
     "Impact",
     "EventWindow",
     "STANDARD_WINDOWS",
+    "DEFAULT_ESTIMATION_DAYS",
+    "resolve_event_day",
+    "estimation_window",
     "parse_window_label",
     "classify_impact",
     "StudySettings",
@@ -53,6 +59,9 @@ __all__ = [
     "event_scenario_distribution",
 ]
 
+
+#: Trading days in a standard estimation window.
+DEFAULT_ESTIMATION_DAYS = 200
 
 #: Largest |CAR| that is only the rounding of forming it: each day's
 #: abnormal return rounds about five times near 1.0, and compounding adds
@@ -110,6 +119,53 @@ def parse_window_label(label: str) -> EventWindow:
         raise ValueError(
             f"unknown window label {label!r} (expected one of {', '.join(windows)})"
         ) from None
+
+
+def resolve_event_day(event: EventRecord, calendar: np.ndarray) -> int:
+    """Map an announcement date to its index on a trading calendar.
+
+    ``calendar`` is a strictly increasing ``datetime64[D]`` array, such as
+    :attr:`AlignedReturns.dates`.
+
+    An announcement on a non-trading day (weekend, holiday) takes effect on
+    the next trading day, since that is the first day the market can react.
+    Raises :class:`HistoryError` when the calendar is empty or the
+    announcement falls after its last day.  The history on either side is
+    checked where those days are cut: the days before by
+    :func:`estimation_window`, the days after by :func:`_measure`.
+    """
+    if not calendar.size:
+        raise HistoryError(f"{event.key}: empty trading calendar")
+    index = int(np.searchsorted(calendar, np.datetime64(event.announcement_date, "D")))
+    if index == calendar.size:
+        raise HistoryError(f"announcement falls after the last trading day ({calendar[-1]})")
+    return index
+
+
+def estimation_window(
+    aligned: AlignedReturns, event_index: int, days: int
+) -> AlignedReturns:
+    """Cut the ``days`` return days ending two days before the event.
+
+    The window deliberately stops at offset -2 so the day immediately
+    before the announcement — where information can leak — stays out of
+    the fit and inside the event windows instead.  Raises
+    :class:`HistoryError` when fewer than ``days + 1`` days precede the event.
+    """
+    if days < 3:
+        raise ValueError(f"estimation window needs at least 3 days, got {days}")
+    start = event_index - (days + 1)
+    stop = event_index - 2  # inclusive
+    if start < 0:
+        raise HistoryError(
+            f"insufficient history before the event: {event_index} trading days, "
+            f"need {days + 1}"
+        )
+    return AlignedReturns(
+        dates=aligned.dates[start : stop + 1],
+        stock_returns=aligned.stock_returns[start : stop + 1],
+        market_returns=aligned.market_returns[start : stop + 1],
+    )
 
 
 def classify_impact(car: float, percentile: float) -> Impact:
@@ -182,11 +238,12 @@ def _measure(
 ) -> tuple[dict[EventWindow, float], dict[EventWindow, ScenarioDistribution], np.ndarray]:
     """Align, place the event, fit both models, and generate each window's distribution.
 
-    Returns the CAR of each of ``windows``, its no-impact distribution with
-    that CAR registered, and the additive abnormal returns of the longest
-    window.  Whatever ``windows`` are asked for, the event needs the
-    longest window's history, and each window reads a prefix of the event's
-    one stream of 12-day scenarios.
+    Returns the CAR of every standard window, the no-impact distribution of
+    each of ``windows`` with its CAR registered, and the additive abnormal
+    returns of the longest window.  Whatever ``windows`` are asked for, the
+    event needs the longest window's history and five CARs that compound to
+    finite values, and each window reads a prefix of the event's one stream
+    of 12-day scenarios.
     """
     longest = STANDARD_WINDOWS[-1]
     aligned = align(stock, market)
@@ -206,7 +263,10 @@ def _measure(
     additive = additive_abnormal_return(
         stock_returns, market_returns, fit_additive_model(estimation)
     )
-    cars = {window: cumulative_abnormal_return(abnormal[: window.n_days]) for window in windows}
+    cars = {
+        window: cumulative_abnormal_return(abnormal[: window.n_days])
+        for window in STANDARD_WINDOWS
+    }
     spec = ScenarioSpec(
         draws_k=longest.n_days,
         n_scenarios=settings.n_scenarios,
@@ -216,7 +276,7 @@ def _measure(
     by_length = generate_distribution(
         pool,
         spec,
-        references={window.n_days: (car,) for window, car in cars.items()},
+        references={window.n_days: (cars[window],) for window in windows},
         histogram_bins=histogram_bins,
         workers=settings.workers,
     )
@@ -271,8 +331,9 @@ def event_scenario_distribution(
 
     Reads the same stream and scenarios as :func:`run_event_study`, so the
     distribution examined here is the one the study actually used; only
-    this window is compounded.  The event needs the study's history, so an
-    event the study refuses is refused here with the same error.
+    this window's scenarios are counted.  The event needs the study's
+    history and its five finite CARs, so an event the study refuses is
+    refused here with the same error.
     """
     cars, distributions, _ = _measure(event, stock, market, settings, (window,), histogram_bins)
     return distributions[window], cars[window]

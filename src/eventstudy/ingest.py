@@ -1,4 +1,4 @@
-"""Load daily price files, build aligned return series, and place events.
+"""Read price files and event registries, and align a stock's returns with its market's.
 
 Input files are plain CSV.  A price file needs a ``date`` column (ISO
 ``YYYY-MM-DD``) and a ``close`` column (positive adjusted close); an event
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AlignmentError, DataFormatError, HistoryError
+from .errors import AlignmentError, DataFormatError
 
 __all__ = [
     "PriceSeries",
@@ -38,7 +38,6 @@ __all__ = [
     "load_price_series",
     "load_event_registry",
     "align",
-    "resolve_event_day",
 ]
 
 
@@ -320,25 +319,3 @@ def align(stock: PriceSeries, market: PriceSeries) -> AlignedReturns:
             )
         returns.append(leg)
     return AlignedReturns(dates=dates[1:], stock_returns=returns[0], market_returns=returns[1])
-
-
-def resolve_event_day(event: EventRecord, calendar: np.ndarray) -> int:
-    """Map an announcement date to its index on a trading calendar.
-
-    ``calendar`` is a strictly increasing ``datetime64[D]`` array, such as
-    :attr:`AlignedReturns.dates`.
-
-    An announcement on a non-trading day (weekend, holiday) takes effect on
-    the next trading day, since that is the first day the market can react.
-    Raises :class:`HistoryError` when the calendar is empty or the
-    announcement falls after its last day.  The history on either side is
-    checked by the code that cuts those days: the days before by
-    :func:`~eventstudy.model.estimation_window`, the days after by the
-    pipeline in :mod:`eventstudy.inference`.
-    """
-    if not calendar.size:
-        raise HistoryError(f"{event.key}: empty trading calendar")
-    index = int(np.searchsorted(calendar, np.datetime64(event.announcement_date, "D")))
-    if index == calendar.size:
-        raise HistoryError(f"announcement falls after the last trading day ({calendar[-1]})")
-    return index

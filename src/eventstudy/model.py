@@ -1,4 +1,4 @@
-"""Market-model fits and daily abnormal returns.
+"""Market-model fits, and the daily abnormal returns they price.
 
 The primary model is multiplicative: a stock's gross daily return is
 ``alpha * (1 + market_return) ** beta``.  Taking logs turns that into a
@@ -23,48 +23,17 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .errors import DegenerateModelError, HistoryError
+from .errors import DegenerateModelError
 from .ingest import AlignedReturns
 
 __all__ = [
     "ModelFit",
     "AdditiveFit",
-    "estimation_window",
     "fit_market_model",
     "fit_additive_model",
     "abnormal_return",
     "additive_abnormal_return",
 ]
-
-#: Trading days in a standard estimation window.
-DEFAULT_ESTIMATION_DAYS = 200
-
-
-def estimation_window(
-    aligned: AlignedReturns, event_index: int, days: int
-) -> AlignedReturns:
-    """Cut the ``days`` return days ending two days before the event.
-
-    The window deliberately stops at offset -2 so the day immediately
-    before the announcement — where information can leak — stays out of
-    the fit and inside the event windows instead.  Raises
-    :class:`HistoryError` when fewer than ``days + 1`` days precede the event.
-    """
-    if days < 3:
-        raise ValueError(f"estimation window needs at least 3 days, got {days}")
-    start = event_index - (days + 1)
-    stop = event_index - 2  # inclusive
-    if start < 0:
-        raise HistoryError(
-            f"insufficient history before the event: {event_index} trading days, "
-            f"need {days + 1}"
-        )
-    return AlignedReturns(
-        dates=aligned.dates[start : stop + 1],
-        stock_returns=aligned.stock_returns[start : stop + 1],
-        market_returns=aligned.market_returns[start : stop + 1],
-    )
-
 
 @dataclass(frozen=True)
 class ModelFit:

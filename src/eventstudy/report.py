@@ -24,14 +24,13 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .bootstrap import GENERATOR, ScenarioDistribution
 from .config import RunConfig
 from .errors import DataFormatError, EventStudyError
-from .inference import EventResult, classify_impact, run_event_study
+from .inference import DEFAULT_ESTIMATION_DAYS, EventResult, classify_impact, run_event_study
 from .ingest import EventRecord, PriceSeries, load_event_registry, load_price_series, read_csv_rows
-from .model import DEFAULT_ESTIMATION_DAYS
 
 __all__ = [
     "REPORT_COLUMNS",
@@ -94,18 +93,25 @@ class ReportRow(NamedTuple):
 REPORT_COLUMNS = ReportRow._fields
 
 
-def render_csv(rows: list[ReportRow]) -> str:
-    """Render rows as CSV: CARs to 9 decimals, percentiles to 5."""
+def _csv_text(header: Iterable[str], rows: Iterable[Iterable[object]]) -> str:
+    """The CSV text of a header and its rows, each line ending in a newline."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for row in rows:
-        writer.writerow(row._replace(
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def render_csv(rows: list[ReportRow]) -> str:
+    """Render rows as CSV: CARs to 9 decimals, percentiles to 5."""
+    return _csv_text(REPORT_COLUMNS, (
+        row._replace(
             car=f"{row.car:.9f}",
             car_percentile=f"{row.car_percentile:.5f}",
             car_additive=f"{row.car_additive:.9f}",
-        ))
-    return buffer.getvalue()
+        )
+        for row in rows
+    ))
 
 
 def render_json(rows: list[ReportRow]) -> str:
@@ -263,15 +269,13 @@ def emit_histogram(distribution: ScenarioDistribution, path: str | Path) -> Path
         raise ValueError(
             "distribution carries no histogram; generate it with histogram_bins set"
         )
-    hist = distribution.histogram
+    edges = distribution.histogram.edges.tolist()
+    counts = distribution.histogram.counts.tolist()
     path = Path(path)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("bin_low", "bin_high", "count"))
-    for i in range(hist.counts.size):
-        writer.writerow((repr(float(hist.edges[i])), repr(float(hist.edges[i + 1])),
-                         int(hist.counts[i])))
-    _write_atomically(path, buffer.getvalue())
+    _write_atomically(path, _csv_text(
+        ("bin_low", "bin_high", "count"),
+        ((repr(lo), repr(hi), count) for lo, hi, count in zip(edges, edges[1:], counts)),
+    ))
     return path
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -134,6 +135,16 @@ class TestCumulativeAbnormalReturn:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             cumulative_abnormal_return([0.1, float("nan")])
+
+    def test_overflowing_product_refused_without_a_warning(self):
+        # Each day is finite; their product is not, and no CAR is left to judge.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateModelError, match="the 2-day CAR overflows"):
+                cumulative_abnormal_return([1e200, 1e200])
+
+    def test_largest_products_still_compound(self):
+        assert cumulative_abnormal_return([1e154, 1e154]) == pytest.approx(1e308, rel=1e-12)
 
 
 class TestScenarioSpec:

@@ -19,8 +19,8 @@ from eventstudy.ingest import (
     PriceSeries,
     align,
     read_csv_rows,
-    resolve_event_day,
 )
+from eventstudy.inference import resolve_event_day
 
 from .conftest import synthetic_market, trading_calendar, write_price_csv
 

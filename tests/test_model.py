@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from eventstudy.errors import DegenerateModelError, HistoryError
 from eventstudy.ingest import AlignedReturns, align
+from eventstudy.inference import estimation_window
 from eventstudy.model import (
     abnormal_return,
     additive_abnormal_return,
-    estimation_window,
     fit_additive_model,
     fit_market_model,
 )

@@ -16,6 +16,7 @@ from datetime import date
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import eventstudy.cli as cli_module
@@ -26,7 +27,14 @@ from eventstudy.config import load_run_config
 from eventstudy.errors import ConfigError, DataFormatError
 from eventstudy.inference import STANDARD_WINDOWS, EventResult, Impact, classify_impact
 from eventstudy.ingest import EventRecord, PriceSeries, align, load_price_series
-from eventstudy.bootstrap import GENERATOR, MAX_POOL_DAYS, ScenarioSpec, generate_distribution
+from eventstudy.bootstrap import (
+    GENERATOR,
+    MAX_POOL_DAYS,
+    Histogram,
+    ScenarioDistribution,
+    ScenarioSpec,
+    generate_distribution,
+)
 from eventstudy.report import REPORT_COLUMNS, ReportRow, emit_histogram, render_json, run
 
 from .conftest import (
@@ -146,6 +154,20 @@ def _lift_the_market_inside_acmes_estimation(universe):
         [("acme", universe.event_day, "Acme Corp"),
          ("bravo", market.dates[289].item().isoformat(), "Bravo Inc")],
     )
+
+
+def _overflow_acmes_car(universe):
+    """Scale acme's closes by 1e-100, then by 1e200 from day +1 on and again from day +2.
+
+    Every close stays finite (the largest is about 7e301), and so is every
+    return and abnormal return, but the two 1e200 days compound past the
+    largest float: acme's 5-, 7- and 12-day CARs overflow.
+    """
+    acme = load_price_series(universe.price_dir / "acme.csv")
+    prices = 1e-100 * acme.prices
+    prices[EVENT_INDEX + 2 :] *= 1e200  # aligned day i is price day i + 1
+    prices[EVENT_INDEX + 3 :] *= 1e200
+    write_price_csv(universe.price_dir / "acme.csv", PriceSeries("acme", acme.dates, prices))
 
 
 def _event_days(*aligned_days):
@@ -824,6 +846,87 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: the fitted model") and "cannot price a day" in err
         assert not (universe.tmp / "h.csv").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_run_overflowing_car_fails_only_its_event(self, universe, capsys, caplog, fmt):
+        _overflow_acmes_car(universe)
+        with caplog.at_level("WARNING"):
+            code = main(["run", "--config", str(universe.config), "--format", fmt])
+        assert code == 1
+        assert not (universe.tmp / "report.csv").exists()
+        partial = universe.tmp / "report.csv.partial"
+        text = partial.read_text(encoding="utf-8")
+        assert not re.search(r"\b(inf|infinity|nan)\b", text, re.IGNORECASE)
+        rows = _read_csv(partial) if fmt == "csv" else json.loads(text)["rows"]
+        assert [r["instrument_id"] for r in rows] == ["bravo"] * 5
+        failure = f"acme@{universe.event_day}: the 5-day CAR overflows"
+        assert capsys.readouterr().err.splitlines() == [f"failed {failure}"]
+        assert f"skipping {failure}" in [r.getMessage() for r in caplog.records]
+
+    @pytest.mark.parametrize("window", [window.label for window in STANDARD_WINDOWS])
+    def test_histogram_overflowing_car_exit_one(self, universe, capsys, window):
+        # [-1,0] and [-1,1] compound finitely, but the event's longer CARs do not.
+        _overflow_acmes_car(universe)
+        code = main([
+            "histogram", "--config", str(universe.config),
+            "--event", "acme", "--window", window, "--out", str(universe.tmp / "h.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: the 5-day CAR overflows"]
+        assert not (universe.tmp / "h.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "histogram"])
+    def test_help_names_each_value_as_before(self, capsys, command):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        usage = " ".join(capsys.readouterr().out.split())
+        assert "[--scenarios SCENARIOS]" in usage
+        assert ("[--out OUT]" in usage) == (command == "run")
+
+    def test_mode_flag_reaches_the_report(self, universe):
+        out = universe.tmp / "block.csv"
+        code = main([
+            "run", "--config", str(universe.config), "--mode", "block", "--out", str(out)
+        ])
+        assert code == 0
+        assert {r["mode"] for r in _read_csv(out)} == {"block"}
+
+    def test_histogram_out_is_not_the_report_path(self, universe, monkeypatch):
+        loaded, real_load = [], cli_module.load_run_config
+
+        def load_and_keep(*args, **kwargs):
+            loaded.append(real_load(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli_module, "load_run_config", load_and_keep)
+        out = universe.tmp / "h.csv"
+        code = main([
+            "histogram", "--config", str(universe.config),
+            "--event", "acme", "--window", "[-1,3]", "--out", str(out),
+        ])
+        assert code == 0
+        assert [config.output for config in loaded] == [universe.tmp / "report.csv"]
+        assert out.read_text(encoding="utf-8").startswith("bin_low,bin_high,count\n")
+        assert sorted(p.name for p in universe.tmp.iterdir() if p.is_file()) == [
+            "events.csv", "h.csv", "market.csv", "run.conf",
+        ]
+
+    def test_emit_histogram_writes_each_edge_by_repr(self, tmp_path):
+        edges = np.array([-0.0, 5e-324, 0.1, 1e16, 1.7976931348623157e308])
+        counts = np.array([0, 3, 2**40, 1], dtype=np.int64)
+        distribution = ScenarioDistribution(
+            n=2**40 + 4, min_car=5e-324, max_car=1e16, references={},
+            histogram=Histogram(edges=edges, counts=counts),
+        )
+        out = emit_histogram(distribution, tmp_path / "h.csv")
+        assert out.read_text(encoding="utf-8") == (
+            "bin_low,bin_high,count\n"
+            "-0.0,5e-324,0\n"
+            "5e-324,0.1,3\n"
+            "0.1,1e+16,1099511627776\n"
+            "1e+16,1.7976931348623157e+308,1\n"
+        )
 
     @pytest.mark.parametrize("missing", ["market_file", "events_file", "price_dir"])
     def test_histogram_missing_input_exit_two(self, universe, capsys, missing):

@@ -42,7 +42,10 @@ SURVIVORS = Path(__file__).resolve().parent / "survivors.txt"
 TESTS = {
     "bootstrap.py": ("tests/test_bootstrap.py", "tests/test_golden.py"),
     "model.py": ("tests/test_model.py", "tests/test_golden.py"),
-    "inference.py": ("tests/test_inference.py", "tests/test_whole_run.py", "tests/test_golden.py"),
+    "inference.py": (
+        "tests/test_inference.py", "tests/test_ingest.py", "tests/test_model.py",
+        "tests/test_whole_run.py", "tests/test_golden.py",
+    ),
     "ingest.py": ("tests/test_ingest.py", "tests/test_whole_run.py", "tests/test_golden.py"),
     "report.py": ("tests/test_report_cli.py", "tests/test_whole_run.py", "tests/test_golden.py"),
     "config.py": ("tests/test_report_cli.py", "tests/test_golden.py"),
