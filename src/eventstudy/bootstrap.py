@@ -42,29 +42,34 @@ each of them, so no scenario falls outside.  In block mode it runs from the
 smallest to the largest entry of the window's run table, which holds every
 CAR the window can take.  One pass both counts and bins.
 
-Randomness comes from PCG64DXSM (O'Neill's permuted congruential generator
-with the "double xorshift multiply" output), keyed with ``spec.seed`` through
-``numpy.random.SeedSequence``.  Its 64-bit words ``w_0, w_1, ...`` give the
-32-bit draws ``u_{2p} = w_p & 0xFFFFFFFF`` and ``u_{2p+1} = w_p >> 32``.
-Scenario ``i`` uses the ``d`` draws ``u_{i*d} ... u_{i*d+d-1}``; nothing is
-padded, so the first ``n`` scenarios are the same for any ``n_scenarios``.
-Each of at most ``workers`` threads takes a contiguous run of whole slabs
-and ``advance``s its own generator to the run's first word, so the resulting
-distributions are a pure function of (pool, spec, references,
-histogram_bins) — the worker count cannot change a single bit of them.
+Randomness comes from a counter-based stream (Salmon et al. 2011, "Parallel
+random numbers: as easy as 1, 2, 3") built from SplitMix64 (Steele, Lea &
+Flood 2014, "Fast splittable pseudorandom number generators").  Word ``j`` of
+the stream keyed by ``spec.seed`` is ``w_j = mix((seed + (j + 1) * G) mod
+2**64)``, where ``G = 0x9E3779B97F4A7C15`` is SplitMix64's odd increment and
+``mix`` its output finaliser: ``z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z
+>> 27; z *= 0x94D049BB133111EB; z ^= z >> 31``, all mod 2**64.  From seed 0
+these are SplitMix64's published outputs, which pass TestU01's BigCrush.  The
+64-bit words give the 32-bit draws ``u_{2p} = w_p & 0xFFFFFFFF`` and
+``u_{2p+1} = w_p >> 32``.  Scenario ``i`` uses the ``d`` draws ``u_{i*d} ...
+u_{i*d+d-1}``; nothing is padded, so the first ``n`` scenarios are the same
+for any ``n_scenarios``.  A word is a pure function of ``(seed, j)``, so each
+of at most ``workers`` threads takes a contiguous run of whole slabs and
+computes its words from the run's first one, with no generator state to carry
+or jump: the resulting distributions are a pure function of (pool, spec,
+references, histogram_bins) — the worker count cannot change a single bit of
+them.
 
 Why these streams are independent enough: every event has its own 64-bit
-seed (``derive_seed``), and ``SeedSequence`` hashes that seed into both the
-128-bit starting state and the increment of the underlying congruential
-generator.  Two events share an increment with a chance of about 2**-127,
-and even then their streams overlap only if their starts lie within an
-event's few tens of millions of words of each other on a period of 2**128.
-Streams with different increments are affine images of one another; the
-DXSM output permutation is built to hide that relation, which is why numpy
-recommends it over PCG64's XSL-RR output for many parallel streams.
-``advance(n)`` jumps the congruential state by exactly ``n`` steps in
-O(log n) multiplications (Brown's arbitrary-stride method), so a run reads
-the very words that one pass over the whole stream would have read.
+seed (``derive_seed``, which folds the root seed and the event key through
+the same finaliser), and every event's stream is a window of one Weyl
+sequence ``seed + (j + 1) * G``, whose cycle has period 2**64 because ``G`` is
+odd.  Two events share a word only if their offsets on that cycle lie within
+the ~1.5e7 words an event reads (5M scenarios of 6 draws) of each other:
+about 2 * 1.5e7 / 2**64, or 1.6e-12, per pair of events.  Seeds a small
+multiple of ``G`` apart would give shifted copies of one stream; since
+``derive_seed`` mixes its input, two events' seeds fall so with a chance on
+the 2**-64 scale.
 
 Each draw ``u`` picks an index below a modulus ``M`` by Lemire's
 multiply-shift, ``floor(u * M / 2**32)``, computed as a float64 product with
@@ -102,7 +107,6 @@ The cap keeps the pair bound at 1 + 6.1e-5 and the table at 2 MB.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Iterator, Mapping
@@ -129,7 +133,7 @@ DEFAULT_N_SCENARIOS = 5_000_000
 
 #: Names the stream definition above; reports carry it so that a change to
 #: the stream shows as a different tag rather than silently different numbers.
-GENERATOR = "pcg64dxsm-u32-mulshift-event"
+GENERATOR = "splitmix64-u32-mulshift-event"
 
 #: Longest pool in either mode: a pair table of at most 2 MB, a pair bias of at
 #: most 1 + 6.1e-5, and a largest modulus of 512**2 = 2**18, well inside the
@@ -137,6 +141,14 @@ GENERATOR = "pcg64dxsm-u32-mulshift-event"
 MAX_POOL_DAYS = 512
 
 _MAX_SEED = 2**64 - 1
+# SplitMix64's Weyl increment and its finaliser's (shift, multiplier) rounds,
+# as Python integers for ``derive_seed`` and as ``np.uint64`` for the slab
+# words, so that numpy never promotes a word out of ``uint64``.
+_GAMMA = 0x9E3779B97F4A7C15
+_ROUNDS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+_LAST_SHIFT = 31
+_U64_ROUNDS = tuple((np.uint64(shift), np.uint64(mult)) for shift, mult in _ROUNDS)
+_U64_LAST_SHIFT = np.uint64(_LAST_SHIFT)
 # Scenarios are compounded in slabs of this many rows, so that a slab's
 # draws and running products stay in cache while its columns are multiplied
 # in; a slab's size cannot change any scenario's value.  Even, so that every
@@ -247,13 +259,46 @@ def cumulative_abnormal_return(abnormal_returns: Iterable[float] | np.ndarray) -
 def derive_seed(root_seed: int, key: str) -> int:
     """Derive a stable 64-bit stream key from a root seed and an event key.
 
-    Hashing (root seed, event key) gives every event its own generator
+    Mixing (root seed, event key) gives every event its own generator
     stream, which all of its windows read, while keeping the whole run
-    reproducible from one root seed.
+    reproducible from one root seed.  The UTF-8 payload is folded 8 bytes at
+    a time, each block little-endian and zero-padded, as ``h = mix((h ^
+    block) + G)`` from ``h`` = the payload's byte length, so payloads that
+    differ only by trailing zero bytes still differ.
     """
     payload = f"{int(root_seed)}\x1f{key}".encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "big")
+    h = len(payload)
+    for i in range(0, len(payload), 8):
+        h = _mix((h ^ int.from_bytes(payload[i : i + 8], "little")) + _GAMMA)
+    return h
+
+
+def _mix(z: int) -> int:
+    """SplitMix64's finaliser of ``z mod 2**64``, in Python integers."""
+    z %= 2**64
+    for shift, mult in _ROUNDS:
+        z = ((z ^ (z >> shift)) * mult) % 2**64
+    return z ^ (z >> _LAST_SHIFT)
+
+
+def _words(
+    seed: int, first: int, steps: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Words ``first, first + 1, ...`` of the stream keyed by ``seed``, one per
+    entry of ``steps``, which must be ``(i + 1) * G mod 2**64`` at index ``i``.
+
+    The words are mixed in ``out`` and each shift goes to ``scratch``, both
+    the size of ``steps`` and reused slab after slab: with both allocated
+    afresh for every 196 KB slab, glibc trimmed and re-grew its heap each
+    time, and a 5M-scenario 12-day call took about 25,000 minor page faults
+    instead of 5,600 (Linux, numpy 2.4).
+    """
+    z = np.add(steps, np.uint64((seed + first * _GAMMA) % 2**64), out=out)
+    for shift, mult in _U64_ROUNDS:
+        z ^= np.right_shift(z, shift, out=scratch)
+        z *= mult
+    z ^= np.right_shift(z, _U64_LAST_SHIFT, out=scratch)
+    return z
 
 
 def _indices(draws: np.ndarray, modulus: int) -> np.ndarray:
@@ -307,12 +352,19 @@ def _window_cars(
     first = start * per_scenario
     if first % 2:
         raise ValueError(f"a run must open on an even draw offset, got {first}")
-    gen = np.random.PCG64DXSM(spec.seed)
-    gen.advance(first // 2)
+    # Word w + i of a slab that opens at word w has the Weyl value (seed + w * G)
+    # + steps[i]; sized for one slab, or for the whole run when it is shorter.
+    steps = np.arange(1, -(-min(count, _SLAB_ROWS) * per_scenario // 2) + 1, dtype=np.uint64)
+    steps *= np.uint64(_GAMMA)
+    out, scratch = np.empty((2, steps.size), dtype=np.uint64)
     for lo in range(0, count, _SLAB_ROWS):
         rows = min(_SLAB_ROWS, count - lo)
         n_draws = rows * per_scenario
-        words = gen.random_raw(-(-n_draws // 2))
+        n_words = -(-n_draws // 2)
+        words = _words(
+            spec.seed, (first + lo * per_scenario) // 2,
+            steps[:n_words], out[:n_words], scratch[:n_words],
+        )
         # As little-endian bytes the low half of each word comes first; the
         # ``astype`` is a no-op on little-endian hosts.
         slab = words.astype("<u8", copy=False).view("<u4")[:n_draws].reshape(rows, per_scenario)
@@ -366,7 +418,8 @@ def generate_distribution(
     docstring), so its edges depend only on the pool, the mode, the window
     and ``histogram_bins``, and the scenarios are binned in the pass that
     counts them; a range that overflows raises
-    :class:`~eventstudy.errors.DegenerateModelError`.
+    :class:`~eventstudy.errors.DegenerateModelError`, and so does a generated
+    CAR that overflows, with no numpy warning.
     ``workers`` caps the threads: the scenarios' slabs are split into that
     many contiguous runs (fewer when there are fewer slabs), one thread
     each, and a single run stays in the calling thread.  The result is
@@ -428,13 +481,17 @@ def generate_distribution(
                     f"so no finite histogram range holds every scenario"
                 )
             # A constant window gets the one closed bin [c, c], which holds every CAR.
-            edges[k] = (
-                np.array([lo, hi])
-                if lo == hi
-                else np.histogram_bin_edges(np.empty(0), bins=histogram_bins, range=(lo, hi))
-            )
+            # Otherwise these are ``np.histogram_bin_edges``' edges for the range,
+            # but a range a few ulps wide keeps its repeated edges (empty bins)
+            # where that function refuses to make ``histogram_bins`` of them.
+            edges[k] = np.array([lo, hi]) if lo == hi else np.linspace(lo, hi, histogram_bins + 1)
 
     def summarize(k: int, cars: np.ndarray) -> tuple:
+        highest = float(cars.max())
+        # An overflowing product is inf, or nan once an underflowed prefix
+        # meets an infinite pair; either way no finite CAR is left to judge.
+        if not highest < np.inf:
+            raise DegenerateModelError(f"a {k}-day CAR drawn from this pool overflows")
         # Binning before counting measured about 0.15 MB less peak RSS on a
         # 5M-scenario histogram than the other order (Linux, numpy 2.4).
         binned = np.histogram(cars, bins=edges[k])[0] if edges else None
@@ -443,7 +500,7 @@ def generate_distribution(
         # 11 us for these with one reference, and wins only from about 200.
         below = np.array([np.count_nonzero(cars < v) for v in refs[k]], dtype=np.int64)
         equal = np.array([np.count_nonzero(cars == v) for v in refs[k]], dtype=np.int64)
-        return below, equal, float(cars.min()), float(cars.max()), binned
+        return below, equal, float(cars.min()), highest, binned
 
     def combine(a: tuple, b: tuple) -> tuple:
         binned = None if a[4] is None else a[4] + b[4]
@@ -454,9 +511,11 @@ def generate_distribution(
         it is made, and combine each window's summaries."""
         lo, hi = bound
         totals: dict[int, tuple] = {}
-        for k, cars in _window_cars(pool_gross, spec, refs, lo, hi - lo):
-            summary = summarize(k, cars)
-            totals[k] = combine(totals[k], summary) if k in totals else summary
+        # A table or product that overflows is refused by ``summarize``.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, cars in _window_cars(pool_gross, spec, refs, lo, hi - lo):
+                summary = summarize(k, cars)
+                totals[k] = combine(totals[k], summary) if k in totals else summary
         return totals
 
     if len(runs) == 1:  # no executor: the run stays in this thread

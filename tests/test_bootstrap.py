@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eventstudy import bootstrap
@@ -20,6 +20,7 @@ from eventstudy.bootstrap import (
     ScenarioSpec,
     _indices,
     _window_cars,
+    _words,
     cumulative_abnormal_return,
     derive_seed,
     generate_distribution,
@@ -33,12 +34,14 @@ def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
     """Independent scalar re-derivation of every window of every scenario.
 
     Returns an ``(n_scenarios, draws_k)`` array whose column ``k - 1`` holds
-    each scenario's ``k``-day CAR, the one window ``k`` reads.  Advances a
-    fresh PCG64DXSM to the 64-bit word holding each scenario's first draw,
-    splits the words into 32-bit draws with shifts and masks, maps each draw
-    ``u`` below a modulus ``M`` as ``(u * M) >> 32`` in Python integers, and
-    multiplies factors one by one — no runs, no slabs, no vectorised
-    gather, no reinterpreted memory, no float index, no table.
+    each scenario's ``k``-day CAR, the one window ``k`` reads.  Computes
+    each 64-bit word ``j``, from the one holding the scenario's first draw,
+    by its definition: SplitMix64's finaliser of ``seed + (j + 1) *
+    0x9E3779B97F4A7C15``, in Python integers.  Splits the words into 32-bit
+    draws with shifts and masks, maps each draw ``u`` below a modulus ``M``
+    as ``(u * M) >> 32`` in Python integers, and multiplies factors one by
+    one — no runs, no slabs, no vectorised gather, no reinterpreted memory,
+    no float index, no table.
 
     In iid mode the scenario's days come in pairs: draw ``u`` picks ``(a, b)
     = divmod((u * m*m) >> 32, m)``.  An even prefix is the product of its
@@ -60,9 +63,12 @@ def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
     for i in range(spec.n_scenarios):
         first = i * per_scenario
         skip = first % 2  # one 64-bit word holds two draws
-        gen = np.random.PCG64DXSM(spec.seed)
-        gen.advance(first // 2)
-        words = [int(w) for w in gen.random_raw(-(-(skip + per_scenario) // 2))]
+        words = []
+        for j in range(first // 2, first // 2 + -(-(skip + per_scenario) // 2)):
+            z = (spec.seed + (j + 1) * 0x9E3779B97F4A7C15) % 2**64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+            words.append(z ^ (z >> 31))
         draws = [
             words[q // 2] >> 32 if q % 2 else words[q // 2] & 0xFFFFFFFF
             for q in range(skip, skip + per_scenario)
@@ -238,6 +244,16 @@ class TestEngineMatchesScalarOracle:
         assert sorted(dists) == list(windows)
         for k in windows:
             assert_counts_exact(dists[k], expected[:, k - 1])
+
+
+class TestWords:
+    def test_seed_zero_gives_splitmix64s_published_outputs(self):
+        steps = np.arange(1, 6, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        out, scratch = np.empty((2, 5), dtype=np.uint64)
+        assert [f"{w:016x}" for w in _words(0, 0, steps, out, scratch).tolist()] == [
+            "e220a8397b1dcdaf", "6e789e6aa1b965f4", "06c45d188009454f",
+            "f88bb8a8724c81ec", "1b39896a51a8749b",
+        ]
 
 
 class TestIndexMapping:
@@ -596,6 +612,37 @@ class TestExactLawMeetInTheMiddle:
             assert low - 4 * se < percentile_of(dist, value) < high + 4 * se, (value, low, high)
 
 
+class TestOverflowRefused:
+    """A pool whose generated CARs overflow is refused in both modes, with no
+    numpy warning, at any worker count.  27,000 scenarios span four slabs."""
+
+    @staticmethod
+    def refused(pool, spec: ScenarioSpec, workers: int) -> None:
+        message = f"a {spec.draws_k}-day CAR drawn from this pool overflows"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateModelError, match=message):
+                generate_distribution(pool, spec, references=[0.05], workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_iid_overflowing_pair_table(self, workers):
+        # (1e200)**2 overflows one pair of the 16, which 27,000 draws pick.
+        spec = ScenarioSpec(draws_k=2, n_scenarios=27_000, seed=1)
+        self.refused([1e200, 0.0, 0.01, -0.01], spec, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_iid_overflowing_product_of_finite_pairs(self, workers):
+        # Every pair is 1e200, finite; every product of two pairs overflows.
+        spec = ScenarioSpec(draws_k=4, n_scenarios=27_000, seed=1)
+        self.refused(np.full(3, 1e100), spec, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_overflowing_run_table(self, workers):
+        # Every 4-day run of 1e100 days overflows its run table.
+        spec = ScenarioSpec(draws_k=4, n_scenarios=27_000, seed=1, mode="block")
+        self.refused(np.full(6, 1e100), spec, workers)
+
+
 class TestValidation:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="empty abnormal-return pool"):
@@ -806,6 +853,19 @@ class TestHistogram:
         with pytest.raises(DegenerateModelError, match="largest 12-day CAR this pool can give"):
             generate_distribution(run, block, histogram_bins=10)
 
+    def test_range_a_few_ulps_wide_keeps_its_bins(self):
+        # The two 4-day runs multiply the same four days in other orders, so
+        # their CARs lie 2 ulps apart: too close for 7 distinct edges, which
+        # np.histogram_bin_edges refuses to make.
+        pool = np.array([-0.13516020448709248, 0.0, 0.25, 0.5, -0.13516020448709248])
+        spec = ScenarioSpec(draws_k=4, n_scenarios=300, seed=0, mode="block")
+        dist = generate_distribution(pool, spec, histogram_bins=7)
+        edges = dist.histogram.edges
+        assert edges.size == 8 and np.all(np.diff(edges) >= 0)
+        assert [edges[0], edges[-1]] == [dist.min_car, dist.max_car]
+        assert dist.min_car < dist.max_car
+        assert int(dist.histogram.counts.sum()) == 300
+
     @pytest.mark.parametrize("k", [1, 5, 12])
     def test_block_range_is_the_run_tables_extremes(self, pool, k):
         # A block CAR is one of the m - k + 1 start products, multiplied left
@@ -847,6 +907,32 @@ class TestDeriveSeed:
         base = derive_seed(0, "acme@2014-05-02")
         assert base != derive_seed(1, "acme@2014-05-02")
         assert base != derive_seed(0, "acme@2014-05-03")
+
+    @settings(max_examples=1_000, deadline=None)
+    @given(root_seed=st.integers(min_value=0, max_value=2**64 - 1), key=st.text())
+    @example(root_seed=2**64 - 1, key="acme@2014-05-02")
+    @example(root_seed=2**64 - 1, key="Société Générale@2014-05-02 — 東京 😀")
+    def test_matches_its_definition(self, root_seed, key):
+        # Fold each zero-padded 8-byte little-endian block b of the payload
+        # as h = mix((h ^ b) + G), from h = the payload's unpadded length.
+        payload = f"{root_seed}\x1f{key}".encode("utf-8")
+        h = len(payload)
+        for i in range(0, len(payload), 8):
+            z = (h ^ int.from_bytes(payload[i : i + 8].ljust(8, b"\0"), "little"))
+            z = (z + 0x9E3779B97F4A7C15) % 2**64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+            h = z ^ (z >> 31)
+        assert derive_seed(root_seed, key) == h
+
+    def test_trailing_zero_byte_changes_the_seed(self):
+        # Both payloads pad to the same block; only the start value, the
+        # unpadded length, tells them apart.
+        assert derive_seed(0, "a") != derive_seed(0, "a\x00")
+
+    def test_distinct_keys_distinct_seeds(self):
+        seeds = {derive_seed(2018, f"instrument{i}@2014-05-02") for i in range(100_000)}
+        assert len(seeds) == 100_000
 
 
 class TestPoolInvariants:

@@ -29,12 +29,12 @@ EVENT_INDEX = 230
 N_SCENARIOS = 150_000
 
 REPORT_SHA256 = {
-    ("iid", "csv"): "c5c06e85ebe817b006d3cdbbe44e76f3a87998c307135d776ae407bfd47a2f24",
-    ("iid", "json"): "3e3032c17c1aaeadc5ae6d449177640395f575dac60d6b3e526be1187d2c8178",
-    ("block", "csv"): "deef7b3221be16e726f66c5af9f6d00eaba6514c70e6c41d574f9a16bf4a8339",
-    ("block", "json"): "2c78af09ce003e102224cc1a7be527920fc2288823e26b097e6f84c1a6fcc64a",
+    ("iid", "csv"): "672633f17504852ba1d3a22356c9fced6ba77a2a93128b6318668b276982f200",
+    ("iid", "json"): "60ce3e8e72a6b0f5daadea20c8ecf053085f53976457a45db03d632058793168",
+    ("block", "csv"): "d7b8bc973516d986b6c0930f3bfc5560767479e15efdc622d17cbbaf3f14b15d",
+    ("block", "json"): "9f116f86794a4b6b1cd808828c4256c23fcf687b53f2f7a29b211f3df7cc12a0",
 }
-HISTOGRAM_SHA256 = "22a246b048f0ac91ccb27124f816cf27fad0cc963b6fee81fff3055f3dd6eaf2"
+HISTOGRAM_SHA256 = "85c25d40d9359fb1e2cc89842e6ee2ede77bb5cfd2abddb86eb37057023582a8"
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,7 @@ def test_report_bytes_are_pinned(golden_universe, mode, fmt, workers):
         "mode": mode, "format": fmt, "workers": str(workers), "output": str(output),
     }))
     assert outcome.errors == []
-    assert {row.generator for row in outcome.rows} == {"pcg64dxsm-u32-mulshift-event"}
+    assert {row.generator for row in outcome.rows} == {"splitmix64-u32-mulshift-event"}
     assert _sha256(output) == REPORT_SHA256[mode, fmt]
 
 

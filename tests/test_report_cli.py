@@ -1050,3 +1050,51 @@ class TestLeanImports:
         assert self._loaded(
             "run", "--config", str(universe.config), "--scenarios", "20000", "--workers", "2",
         ) == {"concurrent.futures"}
+
+
+#: Prints every module in ``sys.modules`` after running ``main(argv)``, or
+#: without importing the package at all when ``argv`` is empty.
+_MODULES_PROBE = """\
+import sys
+if sys.argv[1:]:
+    from eventstudy.cli import main
+    if main(sys.argv[1:]) != 0:
+        sys.exit("main failed")
+print("modules:", *sys.modules)
+"""
+
+#: What the scenario stream and the seed derivation once cost every process:
+#: ``numpy.random`` imports ``secrets``, then ``hmac``, then OpenSSL's
+#: ``_hashlib``, and ``hashlib`` loads OpenSSL too.
+_STREAM_LIBRARIES = {"numpy.random", "hashlib", "_hashlib"}
+
+
+class TestNoStreamLibraries:
+    """A run and a histogram load none of ``_STREAM_LIBRARIES`` beyond what a
+    bare interpreter already has, so site ``.pth`` files cannot decide it."""
+
+    @staticmethod
+    def _modules(*argv: str) -> set[str]:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _MODULES_PROBE, *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        last = done.stdout.splitlines()[-1]
+        assert last.startswith("modules:"), done.stdout
+        return set(last.split()[1:])
+
+    def test_run(self, universe):
+        loaded = self._modules("run", "--config", str(universe.config)) - self._modules()
+        assert "eventstudy.bootstrap" in loaded
+        assert not loaded & _STREAM_LIBRARIES
+
+    def test_histogram(self, universe):
+        loaded = self._modules(
+            "histogram", "--config", str(universe.config), "--event",
+            f"acme@{universe.event_day}", "--window", "[-1,10]",
+            "--out", str(universe.tmp / "hist.csv"),
+        ) - self._modules()
+        assert "eventstudy.bootstrap" in loaded
+        assert not loaded & _STREAM_LIBRARIES
