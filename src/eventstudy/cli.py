@@ -15,7 +15,6 @@ be written, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 
@@ -87,6 +86,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, _overrides(args))
     outcome = report_mod.run(config)
     print(f"wrote {outcome.report_path} ({len(outcome.rows)} rows)")
+    if not outcome.rows and not outcome.errors:
+        print(f"event registry {config.events_file} is empty; wrote a header-only report",
+              file=sys.stderr)
     for key, message in outcome.errors:
         print(f"failed {key}: {message}", file=sys.stderr)
     return 1 if outcome.errors else 0
@@ -143,10 +145,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if not logging.getLogger().handlers:
-        logging.basicConfig(
-            level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-        )
     args = _build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "histogram": _cmd_histogram, "verify-table3": _cmd_verify}
     try:

@@ -3,23 +3,24 @@
 One run walks the event registry in file order, judges each event over the
 five standard windows, and writes a single report.  Events fail
 independently: a missing price file or thin history for one event is
-logged and recorded, and the run moves on.  If anything failed, the report
-is written with a ``.partial`` suffix so downstream consumers can never
-mistake an incomplete report for a complete one.  The write is atomic, and
-each run removes the other kind of report an earlier run left behind, so
-``<output>`` and ``<output>.partial`` never both exist after a run.
+recorded in the returned :class:`RunOutcome`, and the run moves on.  If
+anything failed, the report is written with a ``.partial`` suffix so
+downstream consumers can never mistake an incomplete report for a complete
+one.  The write is atomic, and each run removes the other kind of report an
+earlier run left behind, so ``<output>`` and ``<output>.partial`` never both
+exist after a run.
 
 Report bytes are a pure function of inputs and configuration — timing and
-throughput live in logs and in the returned :class:`RunOutcome`, never in
-the report itself — so re-running a study is expected to reproduce the
-file bit for bit.
+throughput live in the returned :class:`RunOutcome`, never in the report
+itself — so re-running a study is expected to reproduce the file bit for
+bit.  This module prints and logs nothing: the outcome is the one record
+of a run, and the CLI prints from it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import logging
 import os
 import time
 from dataclasses import dataclass
@@ -43,8 +44,6 @@ __all__ = [
     "check_writable",
     "verify_decision_fixture",
 ]
-
-logger = logging.getLogger(__name__)
 
 class ReportRow(NamedTuple):
     """One (event, window) line of the report, ready to render."""
@@ -136,7 +135,14 @@ def render_json(rows: list[ReportRow]) -> str:
 
 @dataclass
 class RunOutcome:
-    """What a run produced, for callers and exit-code decisions."""
+    """The one record of a run: what it wrote, what failed and how long it took.
+
+    ``rows`` are the report's rows, five per judged event; ``errors`` holds
+    ``(event key, message)`` for each failed event, in registry order, and
+    makes the report ``.partial``.  No rows and no errors means the registry
+    was empty.  ``elapsed_seconds`` and ``scenarios_per_second`` (``None``
+    when nothing was generated) are never written into the report.
+    """
 
     rows: list[ReportRow]
     errors: list[tuple[str, str]]
@@ -205,11 +211,9 @@ def _judge_events(
             except EventStudyError as exc:
                 failure = exc
         if failure is not None:
-            logger.warning("skipping %s: %s", event.key, failure)
             errors.append((event.key, str(failure)))
             continue
         rows.extend(ReportRow.from_result(result) for result in results)
-        logger.info("judged %s over %d windows", event.key, len(results))
     return rows, errors
 
 
@@ -228,9 +232,6 @@ def run(config: RunConfig) -> RunOutcome:
     check_writable(config.output)
 
     events = load_event_registry(config.events_file)
-    if not events:
-        logger.warning("event registry %s is empty; writing a header-only report",
-                       config.events_file)
     market = load_price_series(config.market_file)
 
     rows, errors = _judge_events(config, events, market)
@@ -246,14 +247,6 @@ def run(config: RunConfig) -> RunOutcome:
     elapsed = time.perf_counter() - started
     scenarios_done = len(rows) * config.settings.n_scenarios
     throughput = scenarios_done / elapsed if elapsed > 0 and scenarios_done else None
-    logger.info(
-        "wrote %s: %d rows, %d failed events, %.2fs%s",
-        report_path,
-        len(rows),
-        len(errors),
-        elapsed,
-        f", {throughput:,.0f} scenarios/s" if throughput else "",
-    )
     return RunOutcome(
         rows=rows,
         errors=errors,

@@ -8,8 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from eventstudy.ingest import PriceSeries
+
+# Property tests draw the same examples on every run and remember none, so a
+# green suite stays green until the code changes.  An exploratory pass that
+# draws fresh examples selects another profile on the command line, e.g.
+# ``pytest --hypothesis-profile=default``.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 
 def trading_calendar(start: date, n: int) -> tuple[date, ...]:

@@ -47,6 +47,15 @@ from .conftest import (
 
 EVENT_INDEX = 230
 
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_env() -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env
+
 
 @pytest.fixture()
 def universe(tmp_path):
@@ -400,14 +409,17 @@ class TestRun:
         assert complete.exists() and not partial.exists()
         assert not list(universe.tmp.glob(".*.tmp"))  # no temporary file left over
 
-    def test_empty_registry_writes_header_only(self, universe, caplog):
+    def test_empty_registry_writes_header_only(self, universe, capsys):
         write_events_csv(universe.events_file, [])
-        with caplog.at_level("WARNING"):
-            outcome = run(load_run_config(universe.config))
+        config = load_run_config(universe.config)
+        outcome = run(config)
         assert outcome.rows == [] and outcome.errors == []
         content = outcome.report_path.read_text(encoding="utf-8")
         assert content == ",".join(REPORT_COLUMNS) + "\n"
-        assert any("empty" in record.message for record in caplog.records)
+        assert main(["run", "--config", str(universe.config)]) == 0
+        assert capsys.readouterr().err == (
+            f"event registry {config.events_file} is empty; wrote a header-only report\n"
+        )
 
     def test_empty_registry_json_report(self, universe):
         write_events_csv(universe.events_file, [])
@@ -430,6 +442,23 @@ class TestRun:
         universe.market_file.unlink()
         with pytest.raises(ConfigError, match="market_file"):
             run(config)
+
+    def test_failures_are_returned_not_logged(self, universe, caplog):
+        # ghost has no price file and acme's early event too little history:
+        # both land in errors, in registry order, around bravo's good event.
+        early = _event_days(100)[0]
+        write_events_csv(
+            universe.events_file,
+            [("ghost", universe.event_day, "Ghost Ltd"),
+             ("bravo", universe.event_day, "Bravo Inc"), ("acme", early, "Acme Corp")],
+        )
+        with caplog.at_level("DEBUG"):
+            outcome = run(load_run_config(universe.config))
+        assert caplog.records == []
+        assert [key for key, _ in outcome.errors] == [
+            f"ghost@{universe.event_day}", f"acme@{early}",
+        ]
+        assert [row.instrument_id for row in outcome.rows] == ["bravo"] * 5
 
     def test_throughput_in_outcome_not_in_report(self, universe):
         started = time.perf_counter()
@@ -776,9 +805,9 @@ class TestCli:
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
         assert not (universe.tmp / "h.csv").exists()
 
-    def test_each_failure_names_its_event_once(self, universe, capsys, caplog):
+    def test_each_failure_names_its_event_once(self, universe, capsys):
         # Too early, too late, and after the last trading day: the CLI line
-        # and the log line name the event, and the message does not again.
+        # names the event, and the message does not again.
         early, late = _event_days(100, 295)
         last = _event_days(298)[0]
         write_events_csv(
@@ -786,8 +815,7 @@ class TestCli:
             [("acme", early, "Acme Corp"), ("acme", late, "Acme Corp"),
              ("acme", "2099-01-02", "Acme Corp")],
         )
-        with caplog.at_level("WARNING"):
-            assert main(["run", "--config", str(universe.config)]) == 1
+        assert main(["run", "--config", str(universe.config)]) == 1
         failures = [
             (f"acme@{early}", "insufficient history before the event: 100 trading days, need 201"),
             (f"acme@{late}", "insufficient history after the event: 3 trading days, need 10"),
@@ -795,8 +823,27 @@ class TestCli:
         ]
         err = capsys.readouterr().err.splitlines()
         assert err == [f"failed {key}: {message}" for key, message in failures]
-        skipped = [r.getMessage() for r in caplog.records if r.getMessage().startswith("skipping")]
-        assert skipped == [f"skipping {key}: {message}" for key, message in failures]
+
+    def test_partial_run_prints_one_line_per_failed_event(self, universe):
+        # Two failed events around a judged one, in a fresh interpreter so no
+        # handler pytest installs can hide a stray line: stdout names the
+        # report, and stderr holds one line per failure and nothing for bravo.
+        early = _event_days(100)[0]
+        write_events_csv(
+            universe.events_file,
+            [("acme", early, "Acme Corp"), ("bravo", universe.event_day, "Bravo Inc"),
+             ("ghost", universe.event_day, "Ghost Ltd")],
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "eventstudy.cli", "run", "--config", str(universe.config)],
+            env=_fresh_env(), capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        partial = f"{load_run_config(universe.config).output}.partial"
+        assert done.stdout == f"wrote {partial} (5 rows)\n"
+        assert [line.split(":")[0] for line in done.stderr.splitlines()] == [
+            f"failed acme@{early}", f"failed ghost@{universe.event_day}",
+        ]
 
     def test_run_extreme_price_fails_only_its_event(self, universe, capsys):
         day = _give_acme_a_tiny_close(universe)
@@ -848,10 +895,9 @@ class TestCli:
         assert not (universe.tmp / "h.csv").exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_run_overflowing_car_fails_only_its_event(self, universe, capsys, caplog, fmt):
+    def test_run_overflowing_car_fails_only_its_event(self, universe, capsys, fmt):
         _overflow_acmes_car(universe)
-        with caplog.at_level("WARNING"):
-            code = main(["run", "--config", str(universe.config), "--format", fmt])
+        code = main(["run", "--config", str(universe.config), "--format", fmt])
         assert code == 1
         assert not (universe.tmp / "report.csv").exists()
         partial = universe.tmp / "report.csv.partial"
@@ -861,7 +907,6 @@ class TestCli:
         assert [r["instrument_id"] for r in rows] == ["bravo"] * 5
         failure = f"acme@{universe.event_day}: the 5-day CAR overflows"
         assert capsys.readouterr().err.splitlines() == [f"failed {failure}"]
-        assert f"skipping {failure}" in [r.getMessage() for r in caplog.records]
 
     @pytest.mark.parametrize("window", [window.label for window in STANDARD_WINDOWS])
     def test_histogram_overflowing_car_exit_one(self, universe, capsys, window):
@@ -993,38 +1038,43 @@ class TestCli:
         assert excinfo.value.code == 2
 
 
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-
 #: Imports the CLI in a fresh interpreter, runs ``main(argv)`` unless ``argv``
-#: is empty, and prints which of the modules that only a several-run
-#: generation or a JSON report needs the program itself loaded.
+#: is empty, and prints every module loaded beyond what the bare interpreter
+#: held, so site ``.pth`` files cannot decide a case.
 _PROBE = """\
 import sys
 before = set(sys.modules)
 from eventstudy.cli import main
 if sys.argv[1:] and main(sys.argv[1:]) != 0:
     sys.exit("main failed")
-print("loaded:", *[m for m in ("concurrent.futures", "json") if m in set(sys.modules) - before])
+print("loaded:", *sorted(set(sys.modules) - before))
 """
 
 
-class TestLeanImports:
-    """A process that needs neither a thread pool nor a JSON encoder never loads them.
+def _loaded_modules(*argv: str) -> set[str]:
+    """The modules ``_PROBE`` loaded for ``argv``, each case in its own
+    interpreter, since pytest itself loads ``json`` and ``logging``."""
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        env=_fresh_env(), capture_output=True, text=True, check=True,
+    )
+    last = done.stdout.splitlines()[-1]
+    assert last.startswith("loaded:"), done.stdout
+    return set(last.split()[1:])
 
-    Each case runs in its own interpreter, since pytest itself loads ``json``.
-    """
+
+#: Modules only some processes need: a thread pool for several runs, the
+#: encoder for a JSON report, and ``logging``, which the program never uses
+#: (``concurrent.futures`` imports it).
+_OPTIONAL = {"concurrent.futures", "json", "logging"}
+
+
+class TestLeanImports:
+    """A process loads only the ``_OPTIONAL`` modules its work needs."""
 
     @staticmethod
     def _loaded(*argv: str) -> set[str]:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", _PROBE, *argv],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        last = done.stdout.splitlines()[-1]
-        assert last.startswith("loaded:"), done.stdout
-        return set(last.split()[1:])
+        return _loaded_modules(*argv) & _OPTIONAL
 
     def test_bare_import(self):
         assert self._loaded() == set()
@@ -1049,19 +1099,8 @@ class TestLeanImports:
         # 20,000 scenarios span three slabs, so two workers get a run each.
         assert self._loaded(
             "run", "--config", str(universe.config), "--scenarios", "20000", "--workers", "2",
-        ) == {"concurrent.futures"}
+        ) == {"concurrent.futures", "logging"}
 
-
-#: Prints every module in ``sys.modules`` after running ``main(argv)``, or
-#: without importing the package at all when ``argv`` is empty.
-_MODULES_PROBE = """\
-import sys
-if sys.argv[1:]:
-    from eventstudy.cli import main
-    if main(sys.argv[1:]) != 0:
-        sys.exit("main failed")
-print("modules:", *sys.modules)
-"""
 
 #: What the scenario stream and the seed derivation once cost every process:
 #: ``numpy.random`` imports ``secrets``, then ``hmac``, then OpenSSL's
@@ -1070,31 +1109,18 @@ _STREAM_LIBRARIES = {"numpy.random", "hashlib", "_hashlib"}
 
 
 class TestNoStreamLibraries:
-    """A run and a histogram load none of ``_STREAM_LIBRARIES`` beyond what a
-    bare interpreter already has, so site ``.pth`` files cannot decide it."""
-
-    @staticmethod
-    def _modules(*argv: str) -> set[str]:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", _MODULES_PROBE, *argv],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        last = done.stdout.splitlines()[-1]
-        assert last.startswith("modules:"), done.stdout
-        return set(last.split()[1:])
+    """A run and a histogram load none of ``_STREAM_LIBRARIES``."""
 
     def test_run(self, universe):
-        loaded = self._modules("run", "--config", str(universe.config)) - self._modules()
+        loaded = _loaded_modules("run", "--config", str(universe.config))
         assert "eventstudy.bootstrap" in loaded
         assert not loaded & _STREAM_LIBRARIES
 
     def test_histogram(self, universe):
-        loaded = self._modules(
+        loaded = _loaded_modules(
             "histogram", "--config", str(universe.config), "--event",
             f"acme@{universe.event_day}", "--window", "[-1,10]",
             "--out", str(universe.tmp / "hist.csv"),
-        ) - self._modules()
+        )
         assert "eventstudy.bootstrap" in loaded
         assert not loaded & _STREAM_LIBRARIES
