@@ -149,6 +149,12 @@ _ROUNDS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 _LAST_SHIFT = 31
 _U64_ROUNDS = tuple((np.uint64(shift), np.uint64(mult)) for shift, mult in _ROUNDS)
 _U64_LAST_SHIFT = np.uint64(_LAST_SHIFT)
+# A slab's words are laid out in rows of at most this many, so that their Weyl
+# values are sums of a row table and a lane table (see ``_words``), not entries
+# of a slab-sized table.  On numpy 2.4 that broadcast add runs as fast as a
+# contiguous one only from rows of 4,096 words; rows of 64 to 2,048 words took
+# about three times as long.
+_LANES = 4096
 # Scenarios are compounded in slabs of this many rows, so that a slab's
 # draws and running products stay in cache while its columns are multiplied
 # in; a slab's size cannot change any scenario's value.  Even, so that every
@@ -282,23 +288,32 @@ def _mix(z: int) -> int:
 
 
 def _words(
-    seed: int, first: int, steps: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    seed: int, first: int, count: int, row_steps: np.ndarray, lane_steps: np.ndarray,
+    out: np.ndarray, scratch: np.ndarray,
 ) -> np.ndarray:
-    """Words ``first, first + 1, ...`` of the stream keyed by ``seed``, one per
-    entry of ``steps``, which must be ``(i + 1) * G mod 2**64`` at index ``i``.
+    """Words ``first`` to ``first + count - 1`` of the stream keyed by ``seed``.
 
-    The words are mixed in ``out`` and each shift goes to ``scratch``, both
-    the size of ``steps`` and reused slab after slab: with both allocated
-    afresh for every 196 KB slab, glibc trimmed and re-grew its heap each
-    time, and a 5M-scenario 12-day call took about 25,000 minor page faults
-    instead of 5,600 (Linux, numpy 2.4).
+    The words are laid out in rows of ``L = lane_steps.size``: ``row_steps``
+    must hold ``r * L * G mod 2**64`` at index ``r``, for at least ``ceil(count
+    / L)`` rows, and ``lane_steps`` ``(j + 1) * G mod 2**64`` at index ``j``,
+    so that word ``first + r * L + j`` has the Weyl value ``(seed + first * G)
+    + row_steps[r] + lane_steps[j]``.  One broadcast add writes those values
+    into ``out`` and the finaliser mixes them in place, each shift going to
+    ``scratch``; both hold at least that many rows and are reused slab after
+    slab.  A last partial row is mixed whole and cut off.
     """
-    z = np.add(steps, np.uint64((seed + first * _GAMMA) % 2**64), out=out)
+    lanes = lane_steps.size
+    n_rows = -(-count // lanes)
+    z = out[: n_rows * lanes]
+    shifted = scratch[: z.size]
+    # The base stays a Python integer mod 2**64: only arrays wrap silently.
+    rows = row_steps[:n_rows] + np.uint64((seed + first * _GAMMA) % 2**64)
+    np.add(rows[:, None], lane_steps, out=z.reshape(n_rows, lanes))
     for shift, mult in _U64_ROUNDS:
-        z ^= np.right_shift(z, shift, out=scratch)
+        z ^= np.right_shift(z, shift, out=shifted)
         z *= mult
-    z ^= np.right_shift(z, _U64_LAST_SHIFT, out=scratch)
-    return z
+    z ^= np.right_shift(z, _U64_LAST_SHIFT, out=shifted)
+    return z[:count]
 
 
 def _indices(draws: np.ndarray, modulus: int) -> np.ndarray:
@@ -352,18 +367,20 @@ def _window_cars(
     first = start * per_scenario
     if first % 2:
         raise ValueError(f"a run must open on an even draw offset, got {first}")
-    # Word w + i of a slab that opens at word w has the Weyl value (seed + w * G)
-    # + steps[i]; sized for one slab, or for the whole run when it is shorter.
-    steps = np.arange(1, -(-min(count, _SLAB_ROWS) * per_scenario // 2) + 1, dtype=np.uint64)
-    steps *= np.uint64(_GAMMA)
-    out, scratch = np.empty((2, steps.size), dtype=np.uint64)
+    # Tables and buffers for one slab's words, or for the whole run's when it is
+    # shorter; a run of at most _LANES words is one row.
+    n_words = -(-min(count, _SLAB_ROWS) * per_scenario // 2)
+    lanes = min(n_words, _LANES)
+    n_rows = -(-n_words // lanes)
+    row_steps = np.arange(n_rows, dtype=np.uint64) * np.uint64(lanes * _GAMMA % 2**64)
+    lane_steps = np.arange(1, lanes + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    out, scratch = np.empty((2, n_rows * lanes), dtype=np.uint64)
     for lo in range(0, count, _SLAB_ROWS):
         rows = min(_SLAB_ROWS, count - lo)
         n_draws = rows * per_scenario
-        n_words = -(-n_draws // 2)
         words = _words(
-            spec.seed, (first + lo * per_scenario) // 2,
-            steps[:n_words], out[:n_words], scratch[:n_words],
+            spec.seed, (first + lo * per_scenario) // 2, -(-n_draws // 2),
+            row_steps, lane_steps, out, scratch,
         )
         # As little-endian bytes the low half of each word comes first; the
         # ``astype`` is a no-op on little-endian hosts.
@@ -408,7 +425,8 @@ def generate_distribution(
     """Stream ``spec.n_scenarios`` synthetic scenarios into exact per-window summaries.
 
     ``references`` are the values whose below/equal counts must be exact
-    (typically an observed event-window CAR).  Given as plain values, they
+    (typically an observed event-window CAR); a NaN one raises
+    ``ValueError``.  Given as plain values, they
     belong to the ``spec.draws_k``-day window and one distribution is
     returned.  Given as a mapping from window length ``k`` (at most
     ``spec.draws_k``) to values, each window reads the first ``k`` days of
@@ -451,6 +469,9 @@ def generate_distribution(
         )
 
     refs = {k: tuple(sorted({float(v) for v in values})) for k, values in requested.items()}
+    # NaN equals nothing, so no count of it could be looked up again.
+    if any(v != v for values in refs.values() for v in values):
+        raise ValueError("a reference value is NaN; no CAR can be compared with it")
     pool_gross = 1.0 + pool_arr
     runs = _runs(spec.n_scenarios, workers)
 

@@ -188,30 +188,27 @@ def _judge_events(
     """Judge every event in registry order; a failed event is recorded, not raised.
 
     Each price file is read once: ``stocks`` holds the loaded series, or the
-    error loading raised, so a bad file fails every event of its instrument
-    with the same message.  The histories are released on return, before
-    the report is rendered.
+    message of the error loading raised (not the error, whose traceback
+    would keep the failed parse's frames alive), so a bad file fails every
+    event of its instrument with the same message.  The histories are
+    released on return, before the report is rendered.
     """
     rows: list[ReportRow] = []
     errors: list[tuple[str, str]] = []
-    stocks: dict[str, PriceSeries | EventStudyError] = {}
+    stocks: dict[str, PriceSeries | str] = {}
     for event in events:
-        if event.instrument_id not in stocks:
-            try:
-                stocks[event.instrument_id] = load_price_series(
-                    config.price_file(event.instrument_id), instrument_id=event.instrument_id
-                )
-            except EventStudyError as exc:
-                stocks[event.instrument_id] = exc
-        stock = stocks[event.instrument_id]
-        failure = stock if isinstance(stock, EventStudyError) else None
-        if failure is None:
-            try:
-                results = run_event_study(event, stock, market, config.settings)
-            except EventStudyError as exc:
-                failure = exc
-        if failure is not None:
-            errors.append((event.key, str(failure)))
+        instrument = event.instrument_id
+        try:
+            stock = stocks.get(instrument)
+            if stock is None:
+                stock = load_price_series(config.price_file(instrument), instrument_id=instrument)
+                stocks[instrument] = stock
+            elif isinstance(stock, str):  # the file failed to load for an earlier event
+                raise EventStudyError(stock)
+            results = run_event_study(event, stock, market, config.settings)
+        except EventStudyError as exc:
+            stocks.setdefault(instrument, str(exc))  # no-op unless the load itself failed
+            errors.append((event.key, str(exc)))
             continue
         rows.extend(ReportRow.from_result(result) for result in results)
     return rows, errors

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -28,6 +29,15 @@ from eventstudy.bootstrap import (
 )
 from eventstudy.errors import DegenerateModelError
 from eventstudy.inference import STANDARD_WINDOWS
+
+
+def splitmix64_word(seed: int, j: int) -> int:
+    """Word ``j`` of the stream keyed by ``seed``, by its definition: SplitMix64's
+    finaliser of ``seed + (j + 1) * 0x9E3779B97F4A7C15``, in Python integers."""
+    z = (seed + (j + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
 
 
 def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
@@ -65,10 +75,7 @@ def rederive_cars(pool: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
         skip = first % 2  # one 64-bit word holds two draws
         words = []
         for j in range(first // 2, first // 2 + -(-(skip + per_scenario) // 2)):
-            z = (spec.seed + (j + 1) * 0x9E3779B97F4A7C15) % 2**64
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
-            words.append(z ^ (z >> 31))
+            words.append(splitmix64_word(spec.seed, j))
         draws = [
             words[q // 2] >> 32 if q % 2 else words[q // 2] & 0xFFFFFFFF
             for q in range(skip, skip + per_scenario)
@@ -246,14 +253,60 @@ class TestEngineMatchesScalarOracle:
             assert_counts_exact(dists[k], expected[:, k - 1])
 
 
+def weyl_tables(lanes: int, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_words``' row and lane tables by their definition, in Python integers."""
+    gamma = 0x9E3779B97F4A7C15
+    return (
+        np.array([r * lanes * gamma % 2**64 for r in range(n_rows)], dtype=np.uint64),
+        np.array([(j + 1) * gamma % 2**64 for j in range(lanes)], dtype=np.uint64),
+    )
+
+
 class TestWords:
     def test_seed_zero_gives_splitmix64s_published_outputs(self):
-        steps = np.arange(1, 6, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
         out, scratch = np.empty((2, 5), dtype=np.uint64)
-        assert [f"{w:016x}" for w in _words(0, 0, steps, out, scratch).tolist()] == [
+        words = _words(0, 0, 5, *weyl_tables(5, 1), out, scratch)
+        assert [f"{w:016x}" for w in words.tolist()] == [
             "e220a8397b1dcdaf", "6e789e6aa1b965f4", "06c45d188009454f",
             "f88bb8a8724c81ec", "1b39896a51a8749b",
         ]
+
+    @pytest.mark.parametrize("lanes,count", [(1, 3), (64, 5), (64, 64), (64, 65), (64, 200)])
+    @pytest.mark.parametrize("seed,first", [(0, 0), (2018, 12), (2**64 - 1, 2**61 + 7)])
+    def test_rows_of_lanes_give_the_definitions_words(self, seed, first, lanes, count):
+        # The last row is partial unless count fills it.
+        n_rows = -(-count // lanes)
+        out, scratch = np.empty((2, n_rows * lanes), dtype=np.uint64)
+        words = _words(seed, first, count, *weyl_tables(lanes, n_rows), out, scratch)
+        assert words.tolist() == [splitmix64_word(seed, j) for j in range(first, first + count)]
+
+    @pytest.mark.parametrize(
+        "mode,draws_k,slab_rows,lanes,start,count",
+        [
+            # Opens at draw 30 (word 15); slabs of 3 whole rows, then 69 words.
+            ("iid", 12, 64, 64, 5, 87),
+            # Opens at draw 6 (word 3); slabs of 4 whole rows, then 151 words.
+            ("block", 3, 512, 64, 6, 813),
+            # Opens at draw 12 (word 6); slabs of one whole row and 2,048
+            # words, then 156 words.
+            ("iid", 12, 2048, bootstrap._LANES, 2, 2100),
+            # Fewer words than one row: 9 from word 12, and 3 from word 1.
+            ("iid", 12, 8192, bootstrap._LANES, 4, 3),
+            ("block", 5, 8192, bootstrap._LANES, 2, 5),
+        ],
+    )
+    def test_word_layout_edges_match_the_definition(
+        self, pool, mode, draws_k, slab_rows, lanes, start, count
+    ):
+        spec = ScenarioSpec(draws_k=draws_k, n_scenarios=start + count, seed=2**64 - 5, mode=mode)
+        expected = rederive_cars(pool, spec)[start:]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bootstrap, "_SLAB_ROWS", slab_rows)
+            patch.setattr(bootstrap, "_LANES", lanes)
+            cars = cars_by_window(pool, spec, start, count)
+        assert sorted(cars) == list(range(1, draws_k + 1))
+        for k, window in cars.items():
+            assert np.array_equal(window, expected[:, k - 1])
 
 
 class TestIndexMapping:
@@ -350,6 +403,25 @@ class TestDeterminism:
         dist_a = generate_distribution(pool, spec_a, references=ref)
         dist_b = generate_distribution(pool, spec_b, references=ref)
         assert dist_a.count_below(0.0) != dist_b.count_below(0.0)
+
+
+class TestWorkingSet:
+    def test_working_set_of_an_event_call(self):
+        # One event's call holds a slab's words, their shifts and draws, the
+        # pair table and the running products, and derives its Weyl values
+        # from two small tables; traced allocations, not RSS, so the figure
+        # repeats.  About 1,030 KB (Python 3.11, numpy 2.4).
+        pool_values = 0.02 * np.random.default_rng(200).standard_normal(200)
+        spec = ScenarioSpec(draws_k=12, n_scenarios=400_000, seed=11)
+        references = {window.n_days: (0.01,) for window in STANDARD_WINDOWS}
+        generate_distribution(pool_values, spec, references=references)  # warm
+        tracemalloc.start()
+        try:
+            generate_distribution(pool_values, spec, references=references)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_120 * 1024
 
 
 class TestResamplingStatistics:
@@ -695,6 +767,19 @@ class TestValidation:
     def test_inconsistent_summary_rejected(self, n, min_car, max_car, references, match):
         with pytest.raises(ValueError, match=match):
             ScenarioDistribution(n=n, min_car=min_car, max_car=max_car, references=references)
+
+    @pytest.mark.parametrize("references", [(float("nan"),), {1: (0.0,), 2: (0.0, float("nan"))}])
+    def test_nan_reference_rejected(self, references):
+        # Registered, a NaN would count (0, 0) yet be found again only as
+        # the same object: any other NaN is not equal to it.
+        spec = ScenarioSpec(draws_k=2, n_scenarios=10)
+        with pytest.raises(ValueError, match="reference value is NaN"):
+            generate_distribution(np.array([0.01, 0.02]), spec, references=references)
+
+    def test_infinite_references_are_counted(self):
+        spec = ScenarioSpec(draws_k=2, n_scenarios=10)
+        dist = generate_distribution(np.array([0.01, 0.02]), spec, references=(-np.inf, np.inf))
+        assert (percentile_of(dist, -np.inf), percentile_of(dist, np.inf)) == (0.0, 100.0)
 
     def test_bad_worker_and_bin_counts(self):
         spec = ScenarioSpec(draws_k=2, n_scenarios=10)

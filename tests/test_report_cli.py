@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import time
 import traceback
+import weakref
 from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
@@ -393,6 +395,32 @@ class TestRun:
         outcome = run(load_run_config(universe.config))
         assert outcome.errors == [(f"acme@{day}", "broken prices") for day in days]
         assert len(traceback.extract_tb(stored.__traceback__)) == 2  # load, _judge_events
+
+    def test_failed_load_is_remembered_by_its_message(self, universe, monkeypatch):
+        # A stored error would keep its traceback's frames alive until the run ends.
+        raised: list[weakref.ref] = []
+        load, study = report_module.load_price_series, report_module.run_event_study
+
+        def recording_load(path, instrument_id=None):
+            try:
+                return load(path, instrument_id=instrument_id)
+            except DataFormatError as exc:
+                raised.append(weakref.ref(exc))
+                raise
+
+        def judge(event, *args):
+            gc.collect()
+            assert raised and all(ref() is None for ref in raised)
+            return study(event, *args)
+
+        monkeypatch.setattr(report_module, "load_price_series", recording_load)
+        monkeypatch.setattr(report_module, "run_event_study", judge)
+        day1, day2 = _event_days(230, 240)
+        write_events_csv(universe.events_file, [("ghost", day1, ""), ("acme", day1, ""),
+                                                ("ghost", day2, ""), ("acme", day2, "")])
+        outcome = run(load_run_config(universe.config))
+        assert [key for key, _ in outcome.errors] == [f"ghost@{day1}", f"ghost@{day2}"]
+        assert len(raised) == 1 and len(outcome.rows) == 10
 
     def test_each_run_removes_the_other_report(self, universe):
         config = load_run_config(universe.config)
