@@ -131,9 +131,11 @@ __all__ = [
 #: Scenario count for a standard run.
 DEFAULT_N_SCENARIOS = 5_000_000
 
-#: Names the stream definition above; reports carry it so that a change to
-#: the stream shows as a different tag rather than silently different numbers.
-GENERATOR = "splitmix64-u32-mulshift-event"
+#: Names the stream definition above and the arithmetic of the fit that prices
+#: its pool (``-libm``: ``model``'s per-day ``math`` calls); reports carry it so
+#: that a change to either shows as a different tag rather than silently
+#: different numbers.
+GENERATOR = "splitmix64-u32-mulshift-event-libm"
 
 #: Longest pool in either mode: a pair table of at most 2 MB, a pair bias of at
 #: most 1 + 6.1e-5, and a largest modulus of 512**2 = 2**18, well inside the

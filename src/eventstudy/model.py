@@ -14,12 +14,21 @@ as a comparison baseline.  It is deliberately kept as a separate code path
 with its own arithmetic; the two models are supposed to disagree on
 multi-day windows, and collapsing them would hide exactly the effect the
 multiplicative model exists to capture.
+
+Each day's ``log1p`` and ``(1 + r_m) ** beta`` come from Python's ``math``,
+that is from the platform libm, one day at a time, and every sum of products
+is numpy's pairwise ``(a * b).sum()``, whose order of additions is fixed by
+its source.  numpy's own ``log1p`` and ``power`` dispatch on the CPU (SVML on
+AVX-512) and ``@`` goes to the BLAS kernel chosen for the CPU, and either can
+move the last bit of a fit, and so a report's bytes, from one machine to the
+next.  A fit therefore depends on the libm alone: glibc's FMA and non-FMA
+builds differ on about 6 to 7 ``log1p`` or ``pow`` calls in 10,000.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import inf, isfinite, log1p, nan, pow, sqrt
 
 import numpy as np
 
@@ -53,6 +62,26 @@ class AdditiveFit:
     beta: float
 
 
+def _each_day(function, values: np.ndarray) -> np.ndarray:
+    """``function`` of each day's value, called on Python floats one day at a time."""
+    days = map(function, values.ravel().tolist())
+    return np.fromiter(days, np.float64, values.size).reshape(values.shape)
+
+
+def _gross_pow(returns: np.ndarray, beta: float) -> np.ndarray:
+    """Each day's ``(1 + r) ** beta`` by ``math.pow``; an overflow reads as ``inf``."""
+
+    def gross_pow(gross: float) -> float:
+        try:
+            return pow(gross, beta)
+        except OverflowError:
+            return inf
+        except ValueError:  # IEEE 754's 0 ** negative and negative ** fractional
+            return inf if gross == 0.0 else nan
+
+    return _each_day(gross_pow, 1.0 + returns)
+
+
 def fit_market_model(window: AlignedReturns) -> ModelFit:
     """Fit the multiplicative model on an estimation window.
 
@@ -66,25 +95,25 @@ def fit_market_model(window: AlignedReturns) -> ModelFit:
             f"need at least 3 estimation days to fit, got {len(window)}"
         )
 
-    x = np.log1p(window.market_returns)
-    y = np.log1p(window.stock_returns)
+    x = _each_day(log1p, window.market_returns)
+    y = _each_day(log1p, window.stock_returns)
     x_dev = x - x.mean()
-    s_xx = float(x_dev @ x_dev)
+    s_xx = float((x_dev * x_dev).sum())
     if s_xx == 0.0:
         raise DegenerateModelError(
             "degenerate regressor: market returns are constant over the estimation window"
         )
-    beta = float(x_dev @ (y - y.mean())) / s_xx
+    beta = float((x_dev * (y - y.mean())).sum()) / s_xx
     log_alpha = float(y.mean() - beta * x.mean())
 
     # Level estimate on the original scale: with this alpha the fitted gross
     # returns sum to the observed gross returns exactly.
-    gross_market_pow = np.power(1.0 + window.market_returns, beta)
+    gross_market_pow = _gross_pow(window.market_returns, beta)
     alpha = float((1.0 + window.stock_returns).sum() / gross_market_pow.sum())
 
     residuals = y - (log_alpha + beta * x)
     dof = len(window) - 2
-    beta_stderr = sqrt(float(residuals @ residuals) / dof / s_xx)
+    beta_stderr = sqrt(float((residuals * residuals).sum()) / dof / s_xx)
     return ModelFit(alpha=alpha, beta=beta, log_alpha=log_alpha, beta_stderr=beta_stderr)
 
 
@@ -104,12 +133,12 @@ def fit_additive_model(window: AlignedReturns) -> AdditiveFit:
     # Overflow shows up as a non-finite result, checked right after.
     with np.errstate(all="ignore"):
         x_dev = x - x.mean()
-        s_xx = float(x_dev @ x_dev)
+        s_xx = float((x_dev * x_dev).sum())
         if s_xx == 0.0:
             raise DegenerateModelError(
                 "degenerate regressor: market returns are constant over the estimation window"
             )
-        beta = float(x_dev @ (y - y.mean())) / s_xx
+        beta = float((x_dev * (y - y.mean())).sum()) / s_xx
         alpha = float(y.mean() - beta * x.mean())
     if not (isfinite(s_xx) and isfinite(beta) and isfinite(alpha)):
         raise DegenerateModelError(
@@ -136,7 +165,7 @@ def abnormal_return(
     stock = np.asarray(stock_returns, dtype=np.float64)
     market = np.asarray(market_returns, dtype=np.float64)
     with np.errstate(all="ignore"):
-        abnormal = (1.0 + stock) / (fit.alpha * np.power(1.0 + market, fit.beta)) - 1.0
+        abnormal = (1.0 + stock) / (fit.alpha * _gross_pow(market, fit.beta)) - 1.0
     usable = np.isfinite(abnormal) & (abnormal > -1.0)
     if not usable.all():
         raise DegenerateModelError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -62,7 +63,9 @@ def stock_from_market(
     recover.  ``noise=0`` gives data the model fits exactly.
     """
     market_returns = market.prices[1:] / market.prices[:-1] - 1.0
-    gross = alpha * np.power(1.0 + market_returns, beta)
+    # libm's pow, one day at a time: numpy's power would make the prices
+    # depend on the CPU's SIMD level, and the golden hashes with them.
+    gross = alpha * np.array([math.pow(1.0 + r, beta) for r in market_returns.tolist()])
     if noise:
         rng = np.random.default_rng(seed)
         gross = gross * (1.0 + noise * rng.standard_normal(market_returns.size))

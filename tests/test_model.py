@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import re
 import warnings
 from datetime import date
 
@@ -14,6 +16,8 @@ from eventstudy.errors import DegenerateModelError, HistoryError
 from eventstudy.ingest import AlignedReturns, align
 from eventstudy.inference import estimation_window
 from eventstudy.model import (
+    AdditiveFit,
+    ModelFit,
     abnormal_return,
     additive_abnormal_return,
     fit_additive_model,
@@ -191,11 +195,88 @@ class TestAbnormalReturn:
             with pytest.raises(DegenerateModelError, match="cannot price"):
                 abnormal_return(np.array([0.01, 0.02]), np.array([0.01, 1e300]), fit)
 
+    def test_overflowing_day_keeps_its_message(self):
+        fit = fit_market_model(_random_window(seed=34))
+        message = (
+            f"the fitted model (alpha={fit.alpha!r}, beta={fit.beta!r}) cannot price a day: "
+            f"abnormal return {np.float64(-1.0)!r} is not a finite value above -1"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateModelError, match=re.escape(message)):
+                abnormal_return(np.array([0.01, 0.02]), np.array([0.01, 1e300]), fit)
+
+    @pytest.mark.parametrize("beta,market,shown", [
+        (0.5, -1.0, math.inf),  # 0 ** 0.5 == 0: an infinite ratio
+        (-0.5, -1.0, -1.0),  # 0 ** -0.5 == inf, where math.pow raises
+        (0.5, -2.0, math.nan),  # a negative base to a fractional power, likewise
+    ])
+    def test_market_total_loss_is_refused_not_raised_by_math(self, beta, market, shown):
+        fit = ModelFit(alpha=1.0, beta=beta, log_alpha=0.0, beta_stderr=0.1)
+        message = f"abnormal return {np.float64(shown)!r} is not"
+        with pytest.raises(DegenerateModelError, match=re.escape(message)):
+            abnormal_return(0.01, market, fit)
+
     def test_gross_abnormal_return_stays_positive(self):
         window = _random_window(seed=33, noise=0.05)
         fit = fit_market_model(window)
         pool = abnormal_return(window.stock_returns, window.market_returns, fit)
         assert np.all(pool > -1.0)
+
+
+def _sum(values) -> float:
+    """numpy's pairwise sum, the only summation the definitions below use."""
+    return float(np.array(values).sum())
+
+
+class TestPerDayDefinition:
+    """Each fit, re-derived one day at a time from ``math.log1p``, ``math.pow``
+    and numpy's ``.sum()`` of products, equals the library's bit for bit: no
+    numpy ufunc that dispatches on the CPU and no BLAS kernel takes part.
+
+    ``alpha=1.1`` gives the stock leg a mean far from zero beside its daily
+    spread, so centring ``y`` before the products moves the last bits there,
+    although it cancels in exact arithmetic.
+    """
+
+    @pytest.mark.parametrize("alpha", [1.0004, 1.1])
+    def test_market_model(self, alpha):
+        window = _random_window(seed=40, alpha=alpha)
+        market, stock = window.market_returns.tolist(), window.stock_returns.tolist()
+        n = len(market)
+        x = [math.log1p(r) for r in market]
+        y = [math.log1p(r) for r in stock]
+        x_mean, y_mean = _sum(x) / n, _sum(y) / n
+        x_dev = [u - x_mean for u in x]
+        s_xx = _sum([d * d for d in x_dev])
+        beta = _sum([d * (v - y_mean) for d, v in zip(x_dev, y)]) / s_xx
+        log_alpha = y_mean - beta * x_mean
+        alpha = _sum([1.0 + r for r in stock]) / _sum([math.pow(1.0 + r, beta) for r in market])
+        residuals = [v - (log_alpha + beta * u) for u, v in zip(x, y)]
+        beta_stderr = math.sqrt(_sum([e * e for e in residuals]) / (n - 2) / s_xx)
+        assert fit_market_model(window) == ModelFit(alpha, beta, log_alpha, beta_stderr)
+
+    @pytest.mark.parametrize("alpha", [1.0004, 1.1])
+    def test_additive_model(self, alpha):
+        window = _random_window(seed=41, alpha=alpha)
+        market, stock = window.market_returns.tolist(), window.stock_returns.tolist()
+        n = len(market)
+        x_mean, y_mean = _sum(market) / n, _sum(stock) / n
+        x_dev = [r - x_mean for r in market]
+        s_xx = _sum([d * d for d in x_dev])
+        beta = _sum([d * (r - y_mean) for d, r in zip(x_dev, stock)]) / s_xx
+        assert fit_additive_model(window) == AdditiveFit(y_mean - beta * x_mean, beta)
+
+    def test_abnormal_return(self):
+        window = _random_window(seed=42)
+        fit = fit_market_model(window)
+        market, stock = window.market_returns.tolist(), window.stock_returns.tolist()
+        expected = [
+            (1.0 + s) / (fit.alpha * math.pow(1.0 + m, fit.beta)) - 1.0
+            for s, m in zip(stock, market)
+        ]
+        abnormal = abnormal_return(window.stock_returns, window.market_returns, fit)
+        assert abnormal.tolist() == expected
 
 
 class TestEstimationWindow:
