@@ -40,7 +40,9 @@ of the scenario made only of its highest day, each compounded in the
 engine's own order; rounding a product of positive factors is monotone in
 each of them, so no scenario falls outside.  In block mode it runs from the
 smallest to the largest entry of the window's run table, which holds every
-CAR the window can take.  One pass both counts and bins.
+CAR the window can take.  One pass both counts and bins: a slab that is
+binned is sorted once, and its bin counts, reference counts and extremes are
+read off it by bisection.
 
 Randomness comes from a counter-based stream (Salmon et al. 2011, "Parallel
 random numbers: as easy as 1, 2, 3") built from SplitMix64 (Steele, Lea &
@@ -72,11 +74,10 @@ multiple of ``G`` apart would give shifted copies of one stream; since
 the 2**-64 scale.
 
 Each draw ``u`` picks an index below a modulus ``M`` by Lemire's
-multiply-shift, ``floor(u * M / 2**32)``, computed as a float64 product with
-``M * 2**-32`` truncated to an integer.  That product is exact while
-``u * M < 2**53``, that is for ``M <= 2**21``.  A pool longer than
-``MAX_POOL_DAYS`` (512 days, in either mode) is rejected, so the largest
-modulus, a pair index's ``512**2 = 2**18``, lies well inside that range.
+multiply-shift, ``floor(u * M / 2**32)``, computed exactly in ``uint64`` as
+``(u * M) >> 32``: a pool longer than ``MAX_POOL_DAYS`` (512 days, in either
+mode) is rejected, so the largest modulus, a pair index's ``512**2 =
+2**18``, keeps ``u * M`` below ``2**50``.
 
 In iid mode, with ``m`` pool days and gross returns ``g = 1 + pool``, the
 draws are taken two pool days at a time: ``d = K // 2 + K % 2`` for a
@@ -96,6 +97,14 @@ range.  The factors are multiplied in draw order, and each draw's modulus is
 the size of the table it gathers from (``g``, the pair table or a run
 table).  Each run of slabs builds its own tables, so with one run, as at
 ``workers = 1``, they are built once per generation pass.
+
+A slab's words are laid out column by column, in super-rows of ``r``
+scenarios: ``r = 1`` when ``d`` is even and ``r = 2`` when it is odd, so
+that a super-row holds ``r * d / 2`` whole words.  Word column ``c`` of
+super-row ``s`` is word ``w0 + s * (r * d / 2) + c`` of the slab's first word
+``w0``, so its Weyl values are one broadcast add of a base per column to a
+table per call, and each draw of a scenario is the low or high half of one
+contiguous column.
 
 Because ``2**32`` is not a multiple of a modulus ``M``, the multiply-shift
 gives some indices one more draw value than others, so one index's
@@ -138,8 +147,8 @@ DEFAULT_N_SCENARIOS = 5_000_000
 GENERATOR = "splitmix64-u32-mulshift-event-libm"
 
 #: Longest pool in either mode: a pair table of at most 2 MB, a pair bias of at
-#: most 1 + 6.1e-5, and a largest modulus of 512**2 = 2**18, well inside the
-#: 2**21 that ``_indices`` maps exactly.
+#: most 1 + 6.1e-5, and a largest modulus of 512**2 = 2**18, so that ``u * M``
+#: stays below 2**50 in ``uint64``.
 MAX_POOL_DAYS = 512
 
 _MAX_SEED = 2**64 - 1
@@ -151,16 +160,14 @@ _ROUNDS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 _LAST_SHIFT = 31
 _U64_ROUNDS = tuple((np.uint64(shift), np.uint64(mult)) for shift, mult in _ROUNDS)
 _U64_LAST_SHIFT = np.uint64(_LAST_SHIFT)
-# A slab's words are laid out in rows of at most this many, so that their Weyl
-# values are sums of a row table and a lane table (see ``_words``), not entries
-# of a slab-sized table.  On numpy 2.4 that broadcast add runs as fast as a
-# contiguous one only from rows of 4,096 words; rows of 64 to 2,048 words took
-# about three times as long.
-_LANES = 4096
+# A draw is one 32-bit half of a word: ``w & _U64_LOW`` or ``w >> _U64_HALF``.
+_U64_LOW = np.uint64(0xFFFFFFFF)
+_U64_HALF = np.uint64(32)
 # Scenarios are compounded in slabs of this many rows, so that a slab's
 # draws and running products stay in cache while its columns are multiplied
 # in; a slab's size cannot change any scenario's value.  Even, so that every
-# slab, and so every run of slabs, opens on a word's low half.
+# slab, and so every run of slabs, opens on a word's low half and on a whole
+# super-row.
 _SLAB_ROWS = 8192
 
 
@@ -289,43 +296,41 @@ def _mix(z: int) -> int:
     return z ^ (z >> _LAST_SHIFT)
 
 
-def _words(
-    seed: int, first: int, count: int, row_steps: np.ndarray, lane_steps: np.ndarray,
+def _slab_words(
+    seed: int, first: int, column_steps: np.ndarray, lane_steps: np.ndarray,
     out: np.ndarray, scratch: np.ndarray,
-) -> np.ndarray:
-    """Words ``first`` to ``first + count - 1`` of the stream keyed by ``seed``.
+) -> None:
+    """Write word ``first + s * W + c`` of the stream keyed by ``seed`` into
+    ``out[c, s]``, for the ``W`` columns and ``S`` super-rows of ``out``.
 
-    The words are laid out in rows of ``L = lane_steps.size``: ``row_steps``
-    must hold ``r * L * G mod 2**64`` at index ``r``, for at least ``ceil(count
-    / L)`` rows, and ``lane_steps`` ``(j + 1) * G mod 2**64`` at index ``j``,
-    so that word ``first + r * L + j`` has the Weyl value ``(seed + first * G)
-    + row_steps[r] + lane_steps[j]``.  One broadcast add writes those values
-    into ``out`` and the finaliser mixes them in place, each shift going to
-    ``scratch``; both hold at least that many rows and are reused slab after
-    slab.  A last partial row is mixed whole and cut off.
+    ``column_steps`` must hold ``c * G mod 2**64`` at index ``c`` and
+    ``lane_steps`` ``(s * W + 1) * G mod 2**64`` at index ``s``, so that the
+    Weyl values are one broadcast add of each column's base ``seed + (first +
+    c) * G`` to the lane table.  The finaliser mixes them in place, each shift
+    going to ``scratch``, which holds at least ``W * S`` words; both arrays are
+    reused slab after slab.
     """
-    lanes = lane_steps.size
-    n_rows = -(-count // lanes)
-    z = out[: n_rows * lanes]
+    z = out.reshape(-1)
     shifted = scratch[: z.size]
     # The base stays a Python integer mod 2**64: only arrays wrap silently.
-    rows = row_steps[:n_rows] + np.uint64((seed + first * _GAMMA) % 2**64)
-    np.add(rows[:, None], lane_steps, out=z.reshape(n_rows, lanes))
+    bases = column_steps + np.uint64((seed + first * _GAMMA) % 2**64)
+    np.add(bases[:, None], lane_steps, out=out)
     for shift, mult in _U64_ROUNDS:
         z ^= np.right_shift(z, shift, out=shifted)
         z *= mult
     z ^= np.right_shift(z, _U64_LAST_SHIFT, out=shifted)
-    return z[:count]
 
 
-def _indices(draws: np.ndarray, modulus: int) -> np.ndarray:
-    """Map 32-bit draws ``u`` to ``floor(u * modulus / 2**32)``, each below ``modulus``.
+def _map_draws(draws: np.ndarray, modulus: np.uint64, out: np.ndarray) -> np.ndarray:
+    """Map 32-bit draws ``u``, held as ``uint64``, to ``floor(u * modulus /
+    2**32)`` in ``out`` and return it viewed as ``int64`` indices.
 
-    Exact for ``modulus <= 2**21``: ``u * modulus`` is then below
-    2**53, so the float64 product with the power-of-two scale is not rounded
-    and the cast truncates it to the integer part.
+    Exact while ``u * modulus < 2**64``: under ``MAX_POOL_DAYS`` a modulus is
+    at most ``2**18``, so the product stays below ``2**50``.
     """
-    return np.multiply(draws, modulus * 2.0**-32, dtype=np.float64).astype(np.intp)
+    np.multiply(draws, modulus, out=out)
+    np.right_shift(out, _U64_HALF, out=out)
+    return out.view(np.int64)
 
 
 def _run_products(pool_gross: np.ndarray, longest: int) -> list[np.ndarray]:
@@ -353,67 +358,91 @@ def _window_cars(
     are built once per generation pass.  The run must open on an even draw
     offset ``start * d`` (a word's low half), else ``ValueError``; then any
     partition of the scenario range into such runs yields the same
-    per-scenario values.
+    per-scenario values.  Each yielded array is fresh, the caller's to keep
+    or reorder.
     """
     m = pool_gross.size
     windows = sorted(set(windows))
     if spec.mode == "block":
-        per_scenario = 1
+        d = 1
         products = _run_products(pool_gross, windows[-1])
-        runs = [(k, products[k - 1]) for k in windows]
+        runs = [(k, products[k - 1], np.uint64(products[k - 1].size)) for k in windows]
     else:
-        per_scenario = -(-spec.draws_k // 2)
+        d = -(-spec.draws_k // 2)
         # Entry a*m + b of the pair table is g[a] * g[b], so an index below
         # m**2 picks (a, b).
         table = np.multiply.outer(pool_gross, pool_gross).ravel()
-    first = start * per_scenario
+        single, pair = np.uint64(m), np.uint64(m * m)
+    first = start * d
     if first % 2:
         raise ValueError(f"a run must open on an even draw offset, got {first}")
-    # Tables and buffers for one slab's words, or for the whole run's when it is
-    # shorter; a run of at most _LANES words is one row.
-    n_words = -(-min(count, _SLAB_ROWS) * per_scenario // 2)
-    lanes = min(n_words, _LANES)
-    n_rows = -(-n_words // lanes)
-    row_steps = np.arange(n_rows, dtype=np.uint64) * np.uint64(lanes * _GAMMA % 2**64)
-    lane_steps = np.arange(1, lanes + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    out, scratch = np.empty((2, n_rows * lanes), dtype=np.uint64)
+    # A slab is ``supers`` super-rows of ``r`` scenarios, ``width = r * d / 2``
+    # whole words each, laid out column by column; a last partial slab is
+    # made whole and cut to its rows.
+    r = 1 + d % 2
+    width = r * d // 2
+    supers = -(-min(count, _SLAB_ROWS) // r)
+    column_steps = np.arange(width, dtype=np.uint64) * np.uint64(_GAMMA)
+    lane_steps = np.arange(supers, dtype=np.uint64) * np.uint64(width * _GAMMA % 2**64)
+    lane_steps += np.uint64(_GAMMA)
+    words = np.empty((width, supers), dtype=np.uint64)
+    # First the mixing's shifts, then every scenario's current draw and its
+    # indices below one modulus.
+    scratch = np.empty(max(width, 2 * r) * supers, dtype=np.uint64)
+    draws, indices = scratch[: r * supers], scratch[r * supers : 2 * r * supers]
+    # Draw t of scenario s * r + h is draw h * d + t of super-row s: the low or
+    # high half of one word column.
+    halves = ((np.bitwise_and, _U64_LOW), (np.right_shift, _U64_HALF))
+    plan = []
+    for t in range(d):
+        steps = []
+        for h in range(r):
+            c, high = divmod(h * d + t, 2)
+            steps.append((*halves[high], words[c], draws[h::r]))
+        plan.append(steps)
+
+    def draw(t: int) -> None:
+        for op, operand, column, half in plan[t]:
+            op(column, operand, out=half)
+
+    def gather(values: np.ndarray, modulus: np.uint64) -> np.ndarray:
+        # ``take`` gathers the same values as ``values[...]``, faster.
+        return values.take(_map_draws(draws, modulus, indices))
+
     for lo in range(0, count, _SLAB_ROWS):
         rows = min(_SLAB_ROWS, count - lo)
-        n_draws = rows * per_scenario
-        words = _words(
-            spec.seed, (first + lo * per_scenario) // 2, -(-n_draws // 2),
-            row_steps, lane_steps, out, scratch,
-        )
-        # As little-endian bytes the low half of each word comes first; the
-        # ``astype`` is a no-op on little-endian hosts.
-        slab = words.astype("<u8", copy=False).view("<u4")[:n_draws].reshape(rows, per_scenario)
+        _slab_words(spec.seed, (first + lo * d) // 2, column_steps, lane_steps, words, scratch)
         if spec.mode == "block":
-            # ``take`` gathers the same values as ``run[...]``, faster.
-            for k, run in runs:
-                yield k, run.take(_indices(slab[:, 0], run.size)) - 1.0
+            draw(0)
+            for k, run, modulus in runs:
+                cars = gather(run, modulus)
+                cars -= 1.0
+                yield k, cars[:rows]
             continue
         product = 1.0  # the first 2c days' pair factors; times 1.0 is exact
         for c in range(-(-windows[-1] // 2)):
-            u = slab[:, c]
+            draw(c)
             if 2 * c + 1 in windows:
                 # The pair's first day, a = floor(u * m / 2**32) exactly.
-                value = pool_gross.take(_indices(u, m))
+                value = gather(pool_gross, single)
                 value *= product  # products commute: bit for bit product * factor
-                yield 2 * c + 1, value - 1.0
+                value -= 1.0
+                yield 2 * c + 1, value[:rows]
             if 2 * c + 2 <= windows[-1]:
-                value = table.take(_indices(u, m * m))
+                value = gather(table, pair)
                 value *= product
                 product = value
                 if 2 * c + 2 in windows:
-                    yield 2 * c + 2, product - 1.0
+                    yield 2 * c + 2, product[:rows] - 1.0
 
 
 def _runs(n: int, workers: int) -> list[tuple[int, int]]:
-    """Split scenarios ``[0, n)`` into at most ``workers`` balanced, non-empty
-    runs of whole slabs."""
+    """Split scenarios ``[0, n)`` into balanced, non-empty runs of whole slabs:
+    one per worker, but no more than there are slabs."""
     slabs = -(-n // _SLAB_ROWS)
+    workers = min(workers, slabs)
     cuts = [min(n, _SLAB_ROWS * (slabs * i // workers)) for i in range(workers + 1)]
-    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    return list(zip(cuts, cuts[1:]))
 
 
 def generate_distribution(
@@ -510,20 +539,26 @@ def generate_distribution(
             edges[k] = np.array([lo, hi]) if lo == hi else np.linspace(lo, hi, histogram_bins + 1)
 
     def summarize(k: int, cars: np.ndarray) -> tuple:
-        highest = float(cars.max())
+        if edges:
+            cars.sort()  # the slab's fresh CARs; NaN sorts last
+        highest = float(cars[-1] if edges else cars.max())
         # An overflowing product is inf, or nan once an underflowed prefix
         # meets an infinite pair; either way no finite CAR is left to judge.
         if not highest < np.inf:
             raise DegenerateModelError(f"a {k}-day CAR drawn from this pool overflows")
-        # Binning before counting measured about 0.15 MB less peak RSS on a
-        # 5M-scenario histogram than the other order (Linux, numpy 2.4).
-        binned = np.histogram(cars, bins=edges[k])[0] if edges else None
-        # Two compares per reference: on an 8,192-row slab (2-vCPU Xeon,
-        # numpy 2.4) a searchsorted + bincount pass costs about 150 us against
-        # 11 us for these with one reference, and wins only from about 200.
-        below = np.array([np.count_nonzero(cars < v) for v in refs[k]], dtype=np.int64)
-        equal = np.array([np.count_nonzero(cars == v) for v in refs[k]], dtype=np.int64)
-        return below, equal, float(cars.min()), highest, binned
+        if not edges:
+            # Without bins, two compares per reference: on an 8,192-row slab
+            # (2-vCPU Xeon, numpy 2.4) sorting it costs about 38 us against
+            # about 10 us for these with one reference.
+            below = np.array([np.count_nonzero(cars < v) for v in refs[k]], dtype=np.int64)
+            equal = np.array([np.count_nonzero(cars == v) for v in refs[k]], dtype=np.int64)
+            return below, equal, float(cars.min()), highest, None
+        # A sorted slab is bisected, the bins by ``np.histogram``'s rule for
+        # given edges: each bin is closed on the left, the last also on the right.
+        below, upto = (cars.searchsorted(refs[k], side) for side in ("left", "right"))
+        cuts = cars.searchsorted(edges[k])
+        cuts[-1] = cars.searchsorted(edges[k][-1], "right")
+        return below, upto - below, float(cars[0]), highest, cuts[1:] - cuts[:-1]
 
     def combine(a: tuple, b: tuple) -> tuple:
         binned = None if a[4] is None else a[4] + b[4]

@@ -19,9 +19,10 @@ from eventstudy.bootstrap import (
     Histogram,
     ScenarioDistribution,
     ScenarioSpec,
-    _indices,
+    _map_draws,
+    _runs,
+    _slab_words,
     _window_cars,
-    _words,
     cumulative_abnormal_return,
     derive_seed,
     generate_distribution,
@@ -253,76 +254,133 @@ class TestEngineMatchesScalarOracle:
             assert_counts_exact(dists[k], expected[:, k - 1])
 
 
-def weyl_tables(lanes: int, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_words``' row and lane tables by their definition, in Python integers."""
+def weyl_tables(width: int, supers: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_slab_words``' column and lane tables by their definition, in Python integers."""
     gamma = 0x9E3779B97F4A7C15
     return (
-        np.array([r * lanes * gamma % 2**64 for r in range(n_rows)], dtype=np.uint64),
-        np.array([(j + 1) * gamma % 2**64 for j in range(lanes)], dtype=np.uint64),
+        np.array([c * gamma % 2**64 for c in range(width)], dtype=np.uint64),
+        np.array([(s * width + 1) * gamma % 2**64 for s in range(supers)], dtype=np.uint64),
     )
+
+
+def slab_words(seed: int, first: int, width: int, supers: int) -> np.ndarray:
+    """``_slab_words``' ``(width, supers)`` columns from word ``first``."""
+    out = np.empty((width, supers), dtype=np.uint64)
+    scratch = np.empty(out.size, dtype=np.uint64)
+    _slab_words(seed, first, *weyl_tables(width, supers), out, scratch)
+    return out
 
 
 class TestWords:
     def test_seed_zero_gives_splitmix64s_published_outputs(self):
-        out, scratch = np.empty((2, 5), dtype=np.uint64)
-        words = _words(0, 0, 5, *weyl_tables(5, 1), out, scratch)
-        assert [f"{w:016x}" for w in words.tolist()] == [
-            "e220a8397b1dcdaf", "6e789e6aa1b965f4", "06c45d188009454f",
-            "f88bb8a8724c81ec", "1b39896a51a8749b",
-        ]
+        # Read super-row by super-row, one column of five super-rows and five
+        # columns of one are both words 0 to 4.
+        for width, supers in [(1, 5), (5, 1)]:
+            words = slab_words(0, 0, width, supers)
+            assert [f"{w:016x}" for w in words.T.ravel().tolist()] == [
+                "e220a8397b1dcdaf", "6e789e6aa1b965f4", "06c45d188009454f",
+                "f88bb8a8724c81ec", "1b39896a51a8749b",
+            ]
 
     @pytest.mark.parametrize("lanes,count", [(1, 3), (64, 5), (64, 64), (64, 65), (64, 200)])
     @pytest.mark.parametrize("seed,first", [(0, 0), (2018, 12), (2**64 - 1, 2**61 + 7)])
     def test_rows_of_lanes_give_the_definitions_words(self, seed, first, lanes, count):
-        # The last row is partial unless count fills it.
-        n_rows = -(-count // lanes)
-        out, scratch = np.empty((2, n_rows * lanes), dtype=np.uint64)
-        words = _words(seed, first, count, *weyl_tables(lanes, n_rows), out, scratch)
-        assert words.tolist() == [splitmix64_word(seed, j) for j in range(first, first + count)]
+        # A slab's words are rows (word columns) of lanes (super-rows): the
+        # ``ceil(count / lanes)`` rows that hold ``count`` words, each a
+        # contiguous column, and seeds that wrap.
+        width = -(-count // lanes)
+        words = slab_words(seed, first, width, lanes)
+        assert words.tolist() == [
+            [splitmix64_word(seed, first + s * width + c) for s in range(lanes)]
+            for c in range(width)
+        ]
 
     @pytest.mark.parametrize(
-        "mode,draws_k,slab_rows,lanes,start,count",
+        "d,count",
         [
-            # Opens at draw 30 (word 15); slabs of 3 whole rows, then 69 words.
-            ("iid", 12, 64, 64, 5, 87),
-            # Opens at draw 6 (word 3); slabs of 4 whole rows, then 151 words.
-            ("block", 3, 512, 64, 6, 813),
-            # Opens at draw 12 (word 6); slabs of one whole row and 2,048
-            # words, then 156 words.
-            ("iid", 12, 2048, bootstrap._LANES, 2, 2100),
-            # Fewer words than one row: 9 from word 12, and 3 from word 1.
-            ("iid", 12, 8192, bootstrap._LANES, 4, 3),
-            ("block", 5, 8192, bootstrap._LANES, 2, 5),
+            (6, 5), (2, 3),  # even d: super-rows of one scenario
+            (3, 7), (1, 9),  # odd d, odd count: the last super-row's second scenario is spare
+            (1, 8), (5, 4),
+        ],
+    )
+    @pytest.mark.parametrize("seed,first", [(0, 0), (2018, 12), (2**64 - 1, 2**61 + 7)])
+    def test_columns_give_the_definitions_draws(self, seed, first, d, count):
+        # Super-rows of r scenarios hold r * d / 2 whole words, and draw t of
+        # scenario s * r + h is the low or high half of column (h * d + t) // 2
+        # of super-row s.
+        r = 1 + d % 2
+        words = slab_words(seed, first, r * d // 2, -(-count // r))
+        for i in range(count):
+            s, h = divmod(i, r)
+            for t in range(d):
+                c, high = divmod(h * d + t, 2)
+                j = 2 * first + i * d + t  # the stream's draw index
+                defined = splitmix64_word(seed, j // 2) >> 32 * (j % 2) & 0xFFFFFFFF
+                assert int(words[c, s]) >> 32 * high & 0xFFFFFFFF == defined
+
+    @pytest.mark.parametrize(
+        "mode,draws_k,slab_rows,start,count",
+        [
+            # Opens at draw 30 (word 15); slabs of 64 rows, then 23.
+            ("iid", 12, 64, 5, 87),
+            # Opens at draw 6 (word 3), one draw a scenario, an odd count:
+            # slabs of 512 rows, then 301, whose last super-row holds one.
+            ("block", 3, 512, 6, 813),
+            # Opens at draw 12 (word 6); slabs of 2,048 rows, then 52.
+            ("iid", 12, 2048, 2, 2100),
+            # Fewer scenarios than a slab: 3 from draw 24, 5 block starts
+            # from draw 2.
+            ("iid", 12, 8192, 4, 3),
+            ("block", 5, 8192, 2, 5),
+            # Opens at draw 6 (word 3) at six draws a scenario.
+            ("iid", 12, 64, 1, 100),
+            # Three draws a scenario, odd counts: from draw 18 in slabs of 34
+            # rows, then 33; 3 scenarios from draw 6.
+            ("iid", 5, 34, 6, 101),
+            ("iid", 5, 8192, 2, 3),
+            # One draw a scenario in iid mode: 7 from draw 4.
+            ("iid", 2, 8192, 4, 7),
         ],
     )
     def test_word_layout_edges_match_the_definition(
-        self, pool, mode, draws_k, slab_rows, lanes, start, count
+        self, pool, mode, draws_k, slab_rows, start, count
     ):
         spec = ScenarioSpec(draws_k=draws_k, n_scenarios=start + count, seed=2**64 - 5, mode=mode)
         expected = rederive_cars(pool, spec)[start:]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bootstrap, "_SLAB_ROWS", slab_rows)
-            patch.setattr(bootstrap, "_LANES", lanes)
             cars = cars_by_window(pool, spec, start, count)
         assert sorted(cars) == list(range(1, draws_k + 1))
         for k, window in cars.items():
             assert np.array_equal(window, expected[:, k - 1])
 
 
+def map_draws(draws: np.ndarray, modulus: int) -> np.ndarray:
+    """``_map_draws`` of a copy of ``draws``, as ``uint64``."""
+    draws = np.asarray(draws, dtype=np.uint64)
+    return _map_draws(draws, np.uint64(modulus), np.empty_like(draws))
+
+
 class TestIndexMapping:
     @pytest.mark.parametrize("modulus", [1, 2, 3, 199, 200, 40_000, 512**2, 2**21])
     def test_float_form_is_the_exact_multiply_shift(self, modulus):
-        # Index j starts at the cut point ceil(j * 2**32 / M); the float form
-        # must land every cut point and the draw just below it on the same
-        # side as the integer definition, and never reach M.
-        if modulus <= 40_000:
-            js = np.arange(1, modulus)
+        # Index j starts at the cut point ceil(j * 2**32 / M).  At every cut
+        # point, the draws either side of it and the largest draw, the integer
+        # form maps as the definition does, never reaches M, and agrees with
+        # the float form ``floor(u * (M * 2**-32))`` that earlier engines
+        # computed (exact for these moduli).  Past the longest pool's 512**2 a
+        # sample of cut points is checked.
+        if modulus <= 512**2:
+            js = np.arange(1, modulus, dtype=np.int64)
         else:
             js = np.random.default_rng(modulus).integers(1, modulus, size=20_000)
-        cuts = [-(-(int(j) << 32) // modulus) for j in js]
-        draws = sorted({0, 2**32 - 1, *cuts, *(c - 1 for c in cuts)})
-        mapped = _indices(np.array(draws, dtype=np.uint32), modulus)
-        assert mapped.tolist() == [(u * modulus) >> 32 for u in draws]
+        cuts = -(-(js << 32) // modulus)
+        draws = np.concatenate([cuts - 1, cuts, cuts + 1, [0, 2**32 - 1]])
+        draws = np.unique(draws[(draws >= 0) & (draws < 2**32)])
+        mapped = map_draws(draws, modulus)
+        assert mapped.dtype == np.int64
+        assert mapped.tolist() == [(u * modulus) >> 32 for u in draws.tolist()]
+        assert np.array_equal(mapped, np.floor(draws * (modulus * 2.0**-32)))
         assert int(mapped.max()) < modulus
 
     @pytest.mark.parametrize("m", [3, 199, 200, 250, 512])
@@ -335,8 +393,8 @@ class TestIndexMapping:
         p = np.arange(1, m * m, dtype=np.int64)
         cuts = -(-(p << 32) // (m * m))
         draws = np.concatenate([cuts - 1, cuts, cuts + 1, [0, 2**32 - 1]])
-        draws = np.unique(draws[(draws >= 0) & (draws < 2**32)]).astype(np.uint32)
-        assert np.array_equal(_indices(draws, m * m) // m, _indices(draws, m))
+        draws = np.unique(draws[(draws >= 0) & (draws < 2**32)])
+        assert np.array_equal(map_draws(draws, m * m) // m, map_draws(draws, m))
 
 
 class TestChunkPositioning:
@@ -405,23 +463,58 @@ class TestDeterminism:
         assert dist_a.count_below(0.0) != dist_b.count_below(0.0)
 
 
+def traced_peak(spec: ScenarioSpec) -> int:
+    """Peak traced bytes of one event's call on a 200-day pool, after a warm call;
+    traced allocations, not RSS, so the figure repeats."""
+    pool_values = 0.02 * np.random.default_rng(200).standard_normal(200)
+    references = {window.n_days: (0.01,) for window in STANDARD_WINDOWS}
+    generate_distribution(pool_values, spec, references=references)  # warm
+    tracemalloc.start()
+    try:
+        generate_distribution(pool_values, spec, references=references)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestWorkingSet:
     def test_working_set_of_an_event_call(self):
-        # One event's call holds a slab's words, their shifts and draws, the
-        # pair table and the running products, and derives its Weyl values
-        # from two small tables; traced allocations, not RSS, so the figure
-        # repeats.  About 1,030 KB (Python 3.11, numpy 2.4).
-        pool_values = 0.02 * np.random.default_rng(200).standard_normal(200)
-        spec = ScenarioSpec(draws_k=12, n_scenarios=400_000, seed=11)
-        references = {window.n_days: (0.01,) for window in STANDARD_WINDOWS}
-        generate_distribution(pool_values, spec, references=references)  # warm
+        # One event's call holds a slab's word columns, their shifts, one
+        # draw and its indices, the pair table and the running products, and
+        # derives its Weyl values from two small tables.  About 962 KB
+        # (Python 3.11, numpy 2.4).
+        assert traced_peak(ScenarioSpec(draws_k=12, n_scenarios=400_000, seed=11)) < 1_120 * 1024
+
+    def test_working_set_of_a_block_event_call(self):
+        # One word column of 4,096 super-rows, one draw and its indices for
+        # 8,192 scenarios, the run tables, and a window's CARs, with the
+        # window before it still held.  About 346 KB (Python 3.11, numpy 2.4).
+        spec = ScenarioSpec(draws_k=12, n_scenarios=400_000, seed=11, mode="block")
+        assert traced_peak(spec) < 380 * 1024
+
+
+class TestRuns:
+    def test_more_workers_than_slabs_cost_nothing(self):
+        # 400,000 scenarios fill 49 slabs, so a million workers are 49 runs,
+        # cut without a list of a million cut points.
         tracemalloc.start()
         try:
-            generate_distribution(pool_values, spec, references=references)
+            runs = _runs(400_000, 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1_120 * 1024
+        assert runs == _runs(400_000, 49)
+        assert len(runs) == 49 and runs[0][0] == 0 and runs[-1][1] == 400_000
+        assert peak < 1024 * 1024
+
+    @pytest.mark.parametrize("n,workers", [(1, 1), (1, 3), (8_192, 2), (8_193, 2), (40_000, 3)])
+    def test_runs_are_balanced_whole_slabs(self, n, workers):
+        slab = bootstrap._SLAB_ROWS
+        runs = _runs(n, workers)
+        assert len(runs) == min(workers, -(-n // slab))
+        assert [lo for lo, _ in runs[1:]] == [hi for _, hi in runs[:-1]]
+        assert runs[0][0] == 0 and runs[-1][1] == n
+        assert all(lo < hi and lo % slab == 0 for lo, hi in runs)
 
 
 class TestResamplingStatistics:
@@ -714,6 +807,24 @@ class TestOverflowRefused:
         spec = ScenarioSpec(draws_k=4, n_scenarios=27_000, seed=1, mode="block")
         self.refused(np.full(6, 1e100), spec, workers)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "pool_values,draws_k,mode",
+        [([1e200, 0.0, 0.01, -0.01], 2, "iid"), (np.full(3, 1e100), 4, "iid"),
+         (np.full(6, 1e100), 4, "block")],
+        ids=["pair-table", "product-of-pairs", "run-table"],
+    )
+    def test_binned_call_refused(self, pool_values, draws_k, mode, workers):
+        # The bin range holds every CAR the pool can give, so its own check
+        # refuses these pools before a slab is sorted.
+        spec = ScenarioSpec(draws_k=draws_k, n_scenarios=27_000, seed=1, mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateModelError, match=f"{draws_k}-day CAR .* overflows"):
+                generate_distribution(
+                    pool_values, spec, references=[0.05], histogram_bins=10, workers=workers
+                )
+
 
 class TestValidation:
     def test_empty_pool_rejected(self):
@@ -980,6 +1091,62 @@ class TestHistogram:
             assert first.size == 41
             for other in runs[1:]:
                 assert np.array_equal(other[k].histogram.edges, first)
+
+
+def assert_binned_matches(pool_values, spec: ScenarioSpec, bins: int, references=()) -> None:
+    """A binned call's bin counts are ``np.histogram``'s of the oracle's CARs,
+    and its counts and extremes are the compares' and those of a call without
+    bins; ``references`` may name bin edges by index, as ``("edge", i)``."""
+    expected = rederive_cars(pool_values, spec)[:, spec.draws_k - 1]
+    edges = generate_distribution(
+        pool_values, ScenarioSpec(draws_k=spec.draws_k, n_scenarios=1, mode=spec.mode),
+        histogram_bins=bins,
+    ).histogram.edges
+    values = [edges[v[1]] if isinstance(v, tuple) else v for v in references]
+    binned = generate_distribution(pool_values, spec, references=values, histogram_bins=bins)
+    plain = generate_distribution(pool_values, spec, references=values)
+    assert np.array_equal(binned.histogram.edges, edges)
+    assert binned.histogram.counts.tolist() == np.histogram(expected, edges)[0].tolist()
+    assert binned.references == plain.references
+    assert (binned.min_car, binned.max_car) == (plain.min_car, plain.max_car)
+    assert (binned.min_car, binned.max_car) == (expected.min(), expected.max())
+    for value in values:
+        assert binned.count_below(value) == int((expected < value).sum())
+        assert binned.count_equal(value) == int((expected == value).sum())
+
+
+class TestBinnedReductions:
+    """A binned slab is sorted and bisected; every figure must be what the
+    compares and ``np.histogram`` give."""
+
+    def test_references_on_bin_edges(self):
+        # The outer edges are the lowest and highest CARs, each drawn about
+        # 2,500 times; the inner ones fall between the three CARs.
+        spec = ScenarioSpec(draws_k=2, n_scenarios=10_000, seed=23)
+        assert_binned_matches(np.array([-0.1, 0.1]), spec, 4, [("edge", i) for i in range(5)])
+
+    def test_block_references_on_bin_edges(self, pool):
+        # 2,000 draws visit each of a 30-day pool's 26 starts, so both outer
+        # edges are drawn CARs.
+        spec = ScenarioSpec(draws_k=5, n_scenarios=2_000, seed=3, mode="block")
+        assert_binned_matches(pool[:30], spec, 10, [("edge", i) for i in (0, 3, 10)])
+
+    def test_two_point_pool_with_many_ties_at_the_reference(self):
+        # Half the scenarios take the middle CAR fl(0.9 * 1.1) - 1.
+        spec = ScenarioSpec(draws_k=2, n_scenarios=10_000, seed=24)
+        middle = 0.9 * 1.1 - 1.0
+        assert_binned_matches(np.array([-0.1, 0.1]), spec, 3, [middle, middle + 1e-17, -0.5])
+
+    def test_constant_window_fills_its_one_closed_bin(self):
+        spec = ScenarioSpec(draws_k=3, n_scenarios=999, seed=4)
+        only = 1.02 * (1.02 * 1.02) - 1.0
+        assert_binned_matches(np.full(3, 0.02), spec, 10, [only, ("edge", 0)])
+
+    def test_range_a_few_ulps_wide_with_repeated_edges(self):
+        # The two 4-day runs' CARs lie 2 ulps apart, so 7 bins repeat edges.
+        pool_values = np.array([-0.13516020448709248, 0.0, 0.25, 0.5, -0.13516020448709248])
+        spec = ScenarioSpec(draws_k=4, n_scenarios=301, seed=0, mode="block")
+        assert_binned_matches(pool_values, spec, 7, [("edge", i) for i in range(8)])
 
 
 class TestDeriveSeed:
