@@ -215,10 +215,10 @@ class ScenarioDistribution:
     """Streaming summary of one generated scenario distribution.
 
     The raw CARs are gone by the time this object exists; what remains is
-    exact: ``n``, the observed ``min_car``/``max_car``, and precise
-    below/equal counts for every reference value registered when the
-    distribution was generated.  Asking about an unregistered value raises
-    ``KeyError`` rather than guessing.
+    exact: ``n``, the observed ``min_car``/``max_car``, and ``references``,
+    which maps each value registered when the distribution was generated to
+    its (below, equal) counts.  :func:`percentile_of` reads them, and raises
+    ``KeyError`` for a value that was not registered rather than guessing.
     """
 
     n: int
@@ -235,19 +235,6 @@ class ScenarioDistribution:
         for value, (below, equal) in self.references.items():
             if not 0 <= below <= self.n or not 0 <= equal <= self.n - below:
                 raise ValueError(f"impossible counts for reference {value}")
-
-    def count_below(self, value: float) -> int:
-        """Exact number of generated CARs strictly below a registered ``value``."""
-        return self._registered(value)[0]
-
-    def count_equal(self, value: float) -> int:
-        """Exact number of generated CARs equal to a registered ``value``."""
-        return self._registered(value)[1]
-
-    def _registered(self, value: float) -> tuple[int, int]:
-        if float(value) not in self.references:
-            raise KeyError(f"{value!r} was not registered when this distribution was generated")
-        return self.references[float(value)]
 
 
 def cumulative_abnormal_return(abnormal_returns: Iterable[float] | np.ndarray) -> float:
@@ -607,5 +594,7 @@ def percentile_of(distribution: ScenarioDistribution, value: float) -> float:
     scenarios the result moves in steps of ``100 / (2n)``, so five million
     scenarios resolve one two-hundred-thousandth of a percentile.
     """
-    below, equal = distribution._registered(value)
+    if value not in distribution.references:
+        raise KeyError(f"{value!r} was not registered when this distribution was generated")
+    below, equal = distribution.references[value]
     return 100.0 * (below + 0.5 * equal) / distribution.n

@@ -93,10 +93,6 @@ class EventWindow(enum.Enum):
     END_10 = 10
 
     @property
-    def end_offset(self) -> int:
-        return self.value
-
-    @property
     def n_days(self) -> int:
         """Trading days in the window — also the draws per scenario."""
         return self.value + 2
@@ -250,14 +246,14 @@ def _measure(
     event_index = resolve_event_day(event, aligned.dates)
     estimation = estimation_window(aligned, event_index, settings.estimation_days)
     following = len(aligned) - 1 - event_index
-    if following < longest.end_offset:
+    if following < longest.value:
         raise HistoryError(
             f"insufficient history after the event: {following} trading days, "
-            f"need {longest.end_offset}"
+            f"need {longest.value}"
         )
     fit = fit_market_model(estimation)
     pool = abnormal_return(estimation.stock_returns, estimation.market_returns, fit)
-    days = slice(event_index - 1, event_index + longest.end_offset + 1)
+    days = slice(event_index - 1, event_index + longest.value + 1)
     stock_returns, market_returns = aligned.stock_returns[days], aligned.market_returns[days]
     abnormal = abnormal_return(stock_returns, market_returns, fit)
     additive = additive_abnormal_return(

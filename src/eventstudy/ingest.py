@@ -156,8 +156,8 @@ def read_csv_rows(
     (at least two), in that order; a value the row lacks, or an optional
     column the header lacks, reads as ``None``.  Blank lines are skipped, and
     so is a leading UTF-8 byte-order mark (Excel's "CSV UTF-8").  Raises
-    :class:`DataFormatError`, when the first row is asked for, if the file is
-    unreadable or the header is missing any of ``required``.
+    :class:`DataFormatError` if the file is unreadable, is not UTF-8, holds a
+    field over ``csv``'s size limit, or its header lacks any of ``required``.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -183,8 +183,10 @@ def read_csv_rows(
                     row = (row + padding)[:n_columns]
                 row.append(None)
                 yield reader.line_num, pick(row)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: cannot read file ({exc})") from exc
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: row {reader.line_num}: {exc}") from exc
 
 
 #: The day number of 1970-01-01, day 0 of ``datetime64[D]``.

@@ -46,11 +46,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelFit:
-    """A fitted multiplicative market model."""
+    """A fitted multiplicative market model.
+
+    ``alpha`` is the level re-estimated on the original scale, so that the
+    fitted gross returns sum to the observed ones; it is not the exponential
+    of the log-scale intercept that the fit of ``beta`` leaves behind.
+    """
 
     alpha: float
     beta: float
-    log_alpha: float
     beta_stderr: float
 
 
@@ -114,7 +118,7 @@ def fit_market_model(window: AlignedReturns) -> ModelFit:
     residuals = y - (log_alpha + beta * x)
     dof = len(window) - 2
     beta_stderr = sqrt(float((residuals * residuals).sum()) / dof / s_xx)
-    return ModelFit(alpha=alpha, beta=beta, log_alpha=log_alpha, beta_stderr=beta_stderr)
+    return ModelFit(alpha=alpha, beta=beta, beta_stderr=beta_stderr)
 
 
 def fit_additive_model(window: AlignedReturns) -> AdditiveFit:

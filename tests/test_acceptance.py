@@ -85,7 +85,7 @@ def test_criterion_3_two_point_pool_matches_enumeration():
     elapsed = time.perf_counter() - started
     observed = {}
     for value, probability in expected.items():
-        count = dist.count_equal(value)
+        count = dist.references[value][1]
         observed[round(value, 2)] = count
         sigma = np.sqrt(spec.n_scenarios * probability * (1.0 - probability))
         assert abs(count - probability * spec.n_scenarios) < 4.0 * sigma

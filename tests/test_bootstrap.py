@@ -192,8 +192,8 @@ class TestScenarioSpec:
 def assert_counts_exact(dist: ScenarioDistribution, cars: np.ndarray) -> None:
     """Every distinct CAR, registered as a reference, counts exactly."""
     for value in set(cars.tolist()):
-        assert dist.count_below(value) == int((cars < value).sum())
-        assert dist.count_equal(value) == int((cars == value).sum())
+        assert dist.references[value][0] == int((cars < value).sum())
+        assert dist.references[value][1] == int((cars == value).sum())
     assert (dist.min_car, dist.max_car) == (cars.min(), cars.max())
 
 
@@ -460,7 +460,7 @@ class TestDeterminism:
         ref = (0.0,)
         dist_a = generate_distribution(pool, spec_a, references=ref)
         dist_b = generate_distribution(pool, spec_b, references=ref)
-        assert dist_a.count_below(0.0) != dist_b.count_below(0.0)
+        assert dist_a.references[0.0][0] != dist_b.references[0.0][0]
 
 
 def traced_peak(spec: ScenarioSpec) -> int:
@@ -532,7 +532,7 @@ class TestResamplingStatistics:
         )
         total_equal = 0
         for value, probability in outcomes.items():
-            count = dist.count_equal(value)
+            count = dist.references[value][1]
             total_equal += count
             sigma = np.sqrt(spec.n_scenarios * probability * (1 - probability))
             assert abs(count - spec.n_scenarios * probability) < 4 * sigma
@@ -546,7 +546,7 @@ class TestResamplingStatistics:
             float(gross[i] * gross[i + 1]) - 1.0 for i in range(len(pool_values) - 1)
         ]
         dist = generate_distribution(pool_values, spec, references=run_products)
-        counts = [dist.count_equal(v) for v in run_products]
+        counts = [dist.references[v][1] for v in run_products]
         assert sum(counts) == spec.n_scenarios
         for count in counts:  # uniform over the three admissible starts
             sigma = np.sqrt(spec.n_scenarios * (1 / 3) * (2 / 3))
@@ -561,7 +561,7 @@ class TestResamplingStatistics:
         spec = ScenarioSpec(draws_k=1, n_scenarios=1_000_000, seed=53, mode=mode)
         outcomes = ((1.0 + pool_values) - 1.0).tolist()  # a one-day CAR, as compounded
         dist = generate_distribution(pool_values, spec, references=outcomes)
-        counts = np.array([dist.count_equal(v) for v in outcomes])
+        counts = np.array([dist.references[v][1] for v in outcomes])
         assert counts.sum() == spec.n_scenarios
         p = 1 / pool_values.size
         sigma = np.sqrt(spec.n_scenarios * p * (1 - p))
@@ -583,7 +583,7 @@ class TestResamplingStatistics:
         assert len(cells) == m * (m + 1) // 2
         spec = ScenarioSpec(draws_k=2, n_scenarios=1_000_000, seed=67)
         dist = generate_distribution(pool_values, spec, references=tuple(cells))
-        counts = {value: dist.count_equal(value) for value in cells}
+        counts = {value: dist.references[value][1] for value in cells}
         assert sum(counts.values()) == spec.n_scenarios
         for value, p in cells.items():
             sigma = np.sqrt(spec.n_scenarios * p * (1 - p))
@@ -907,20 +907,17 @@ class TestDistributionQueries:
         ref = 0.001
         dist = generate_distribution(pool, spec, references=(ref,))
         below, equal = dist.references[ref]
-        assert dist.count_below(ref) == below
-        assert dist.count_equal(ref) == equal
+        assert percentile_of(dist, ref) == 100.0 * (below + 0.5 * equal) / dist.n
 
     def test_unregistered_interior_value_raises(self, pool):
         spec = ScenarioSpec(draws_k=2, n_scenarios=5_000, seed=3)
         dist = generate_distribution(pool, spec)
         midpoint = (dist.min_car + dist.max_car) / 2
         with pytest.raises(KeyError, match="not registered"):
-            dist.count_below(midpoint)
+            percentile_of(dist, midpoint)
         for outside in (dist.min_car - 1e-9, dist.max_car + 1e-9):
             with pytest.raises(KeyError, match="not registered"):
-                dist.count_below(outside)
-            with pytest.raises(KeyError, match="not registered"):
-                dist.count_equal(outside)
+                percentile_of(dist, outside)
 
     def test_constant_pool_collapses(self):
         spec = ScenarioSpec(draws_k=3, n_scenarios=1_000, seed=1)
@@ -928,7 +925,7 @@ class TestDistributionQueries:
         only = gross * gross * gross - 1.0  # sequential, like the engine
         dist = generate_distribution(np.array([0.01, 0.01]), spec, references=(only,))
         assert dist.min_car == dist.max_car == only
-        assert dist.count_equal(only) == dist.n
+        assert dist.references[only][1] == dist.n
         assert percentile_of(dist, only) == 50.0
 
 
@@ -1111,8 +1108,8 @@ def assert_binned_matches(pool_values, spec: ScenarioSpec, bins: int, references
     assert (binned.min_car, binned.max_car) == (plain.min_car, plain.max_car)
     assert (binned.min_car, binned.max_car) == (expected.min(), expected.max())
     for value in values:
-        assert binned.count_below(value) == int((expected < value).sum())
-        assert binned.count_equal(value) == int((expected == value).sum())
+        assert binned.references[value][0] == int((expected < value).sum())
+        assert binned.references[value][1] == int((expected == value).sum())
 
 
 class TestBinnedReductions:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import re
 import tracemalloc
 from datetime import date
 
@@ -153,6 +154,13 @@ class TestLoadPriceSeries:
             tracemalloc.stop()
         assert len(series) == n_rows
         assert peak / n_rows < 300
+
+    def test_oversized_field_names_the_file_and_row(self, tmp_path):
+        rows = [("2014-01-06", "100.0"), ("2014-01-07", "1" * 200_000), ("2014-01-08", "102.0")]
+        path = _write_rows(tmp_path / "x.csv", rows)
+        message = f"{path}: row 3: field larger than field limit"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load_price_series(path)
 
     def test_too_few_rows(self, tmp_path):
         with pytest.raises(DataFormatError, match="at least 2"):

@@ -50,7 +50,6 @@ class TestFitMarketModel:
         returns = market.prices[1:] / market.prices[:-1] - 1.0
         fit = fit_market_model(_window(returns, returns))
         assert fit.beta == pytest.approx(1.0, abs=1e-14)
-        assert fit.log_alpha == pytest.approx(0.0, abs=1e-14)
         assert fit.alpha == 1.0  # ratio of identical sums
 
     def test_noiseless_recovery_is_near_exact(self):
@@ -58,7 +57,6 @@ class TestFitMarketModel:
         fit = fit_market_model(window)
         assert fit.beta == pytest.approx(1.3, abs=1e-12)
         assert fit.alpha == pytest.approx(1.001, rel=1e-12)
-        assert fit.log_alpha == pytest.approx(np.log(1.001), abs=1e-12)
 
     def test_matches_independent_least_squares(self):
         window = _random_window(seed=4)
@@ -66,9 +64,8 @@ class TestFitMarketModel:
         x = np.log1p(window.market_returns)
         y = np.log1p(window.stock_returns)
         design = np.column_stack((np.ones_like(x), x))
-        (intercept, slope), residual_ss, *_ = np.linalg.lstsq(design, y, rcond=None)
+        (_, slope), residual_ss, *_ = np.linalg.lstsq(design, y, rcond=None)
         assert fit.beta == pytest.approx(slope, abs=1e-10)
-        assert fit.log_alpha == pytest.approx(intercept, abs=1e-10)
         # Standard error from the covariance matrix route.
         sigma2 = float(residual_ss[0]) / (len(window) - 2)
         cov = sigma2 * np.linalg.inv(design.T @ design)
@@ -79,7 +76,8 @@ class TestFitMarketModel:
             window = _random_window(seed=seed)
             fit = fit_market_model(window)
             x = np.log1p(window.market_returns)
-            residuals = np.log1p(window.stock_returns) - (fit.log_alpha + fit.beta * x)
+            y = np.log1p(window.stock_returns)
+            residuals = y - (y.mean() - fit.beta * x.mean() + fit.beta * x)
             assert abs(residuals.sum()) < 1e-10
             assert abs(residuals @ x) < 1e-10
 
@@ -212,7 +210,7 @@ class TestAbnormalReturn:
         (0.5, -2.0, math.nan),  # a negative base to a fractional power, likewise
     ])
     def test_market_total_loss_is_refused_not_raised_by_math(self, beta, market, shown):
-        fit = ModelFit(alpha=1.0, beta=beta, log_alpha=0.0, beta_stderr=0.1)
+        fit = ModelFit(alpha=1.0, beta=beta, beta_stderr=0.1)
         message = f"abnormal return {np.float64(shown)!r} is not"
         with pytest.raises(DegenerateModelError, match=re.escape(message)):
             abnormal_return(0.01, market, fit)
@@ -254,7 +252,7 @@ class TestPerDayDefinition:
         alpha = _sum([1.0 + r for r in stock]) / _sum([math.pow(1.0 + r, beta) for r in market])
         residuals = [v - (log_alpha + beta * u) for u, v in zip(x, y)]
         beta_stderr = math.sqrt(_sum([e * e for e in residuals]) / (n - 2) / s_xx)
-        assert fit_market_model(window) == ModelFit(alpha, beta, log_alpha, beta_stderr)
+        assert fit_market_model(window) == ModelFit(alpha, beta, beta_stderr)
 
     @pytest.mark.parametrize("alpha", [1.0004, 1.1])
     def test_additive_model(self, alpha):

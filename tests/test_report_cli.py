@@ -117,6 +117,15 @@ def _read_csv(path):
         return list(csv.DictReader(handle))
 
 
+def _recode_in_latin_1(path):
+    """Rewrite a CSV in Latin-1, adding a column that no reader needs whose first
+    value is not ASCII, so the file is not UTF-8."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0] += ",note"
+    lines[1] += ",cot\u00e9"
+    path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+
+
 def _give_acme_a_tiny_close(universe):
     """Set one acme close to 1e-310: positive and finite, but its price ratios overflow."""
     path = universe.price_dir / "acme.csv"
@@ -576,6 +585,32 @@ class TestCli:
     def test_run_missing_config_exit_two(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "none.conf")]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_run_latin_1_price_file_fails_only_its_events(self, universe, capsys):
+        bravo = universe.price_dir / "bravo.csv"
+        _recode_in_latin_1(bravo)
+        assert main(["run", "--config", str(universe.config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"failed bravo@{universe.event_day}: {bravo}: cannot read file (")
+        assert err.count("\n") == 1
+        rows = _read_csv(universe.tmp / "report.csv.partial")
+        assert [row["instrument_id"] for row in rows] == ["acme"] * 5
+
+    @pytest.mark.parametrize("input_file", ["events_file", "market_file"])
+    def test_run_latin_1_registry_or_market_exit_one(self, universe, capsys, input_file):
+        path = getattr(universe, input_file)
+        _recode_in_latin_1(path)
+        assert main(["run", "--config", str(universe.config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot read file (") and "Traceback" not in err
+        assert list(universe.tmp.glob("report.csv*")) == []
+
+    def test_run_latin_1_config_exit_two(self, universe, capsys):
+        universe.config.write_bytes("# \u00e9tude\n".encode("latin-1") + universe.config.read_bytes())
+        assert main(["run", "--config", str(universe.config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: {universe.config}: cannot read config file ("
+        )
 
     def test_overrides_reach_the_report(self, universe):
         out = universe.tmp / "custom.csv"
@@ -1055,6 +1090,14 @@ class TestCli:
         assert main(["verify-table3", "--fixtures", str(target)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {target}: {message}\n"
+
+    def test_verify_latin_1_fixture_exit_one(self, tmp_path, capsys):
+        target = tmp_path / "latin-1.csv"
+        shutil.copyfile(FIXTURES_DIR / "table3_decision_rule.csv", target)
+        _recode_in_latin_1(target)
+        assert main(["verify-table3", "--fixtures", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: cannot read file (") and "Traceback" not in err
 
     def test_verify_missing_fixture_exit_two(self, tmp_path, capsys):
         assert main(["verify-table3", "--fixtures", str(tmp_path / "nope.csv")]) == 2
