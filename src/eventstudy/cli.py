@@ -115,12 +115,11 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
         keys = ", ".join(event.key for event in matches)
         raise ConfigError(f"{args.event!r} is ambiguous; matches: {keys}")
     event = matches[0]
-    report_mod.check_writable(Path(args.out))
+    stock_file = config.price_file(event.instrument_id)
+    report_mod.check_writable(Path(args.out), (config.market_file, config.events_file, stock_file))
 
     market = load_price_series(config.market_file)
-    stock = load_price_series(
-        config.price_file(event.instrument_id), instrument_id=event.instrument_id
-    )
+    stock = load_price_series(stock_file, instrument_id=event.instrument_id)
     distribution, car = event_scenario_distribution(
         event, stock, market, window, config.settings, histogram_bins=args.bins
     )

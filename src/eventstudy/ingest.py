@@ -221,12 +221,12 @@ def load_price_series(path: str | Path, *, instrument_id: str | None = None) -> 
     if instrument_id is None:
         instrument_id = path.stem
 
-    days: list[date] = []
     closes: list[float] = []
-    lines: list[int] = []
+    first_row: dict[date, int] = {}  # each date's first row, in file order
     bad_price: str | None = None  # the first, reported once every field has parsed
+    repeat: str | None = None  # the first, reported after any bad price
     for line_num, (raw_day, raw_close) in read_csv_rows(path, ("date", "close")):
-        days.append(_parse_iso_date(raw_day or "", path, line_num))
+        day = _parse_iso_date(raw_day or "", path, line_num)
         raw_price = (raw_close or "").strip()
         try:
             price = float(raw_price)
@@ -237,24 +237,22 @@ def load_price_series(path: str | Path, *, instrument_id: str | None = None) -> 
         # Written as "not inside" so that NaN fails it too.
         if bad_price is None and not 0.0 < price < math.inf:
             bad_price = f"row {line_num}: price must be positive and finite, got {raw_price}"
+        seen_at = first_row.setdefault(day, line_num)
+        if repeat is None and seen_at != line_num:
+            repeat = (
+                f"row {line_num}: duplicate date {day.isoformat()} (first seen at row {seen_at})"
+            )
         closes.append(price)
-        lines.append(line_num)
-    if bad_price is not None:
-        raise DataFormatError(f"{path}: {bad_price}")
-    if len(set(days)) < len(days):
-        first_row: dict[date, int] = {}
-        for line_num, day in zip(lines, days):
-            seen_at = first_row.setdefault(day, line_num)
-            if seen_at != line_num:
-                raise DataFormatError(
-                    f"{path}: row {line_num}: duplicate date {day.isoformat()} "
-                    f"(first seen at row {seen_at})"
-                )
-    if len(days) < 2:
+    if bad_price or repeat:
+        raise DataFormatError(f"{path}: {bad_price or repeat}")
+    if len(closes) < 2:
         raise DataFormatError(
-            f"{path}: need at least 2 price rows to form a return, got {len(days)}"
+            f"{path}: need at least 2 price rows to form a return, got {len(closes)}"
         )
-    day_numbers = np.fromiter((day.toordinal() - _EPOCH for day in days), np.int64, len(days))
+    # With no repeat, the dates of first_row are every row's, in file order.
+    day_numbers = np.fromiter(
+        (day.toordinal() - _EPOCH for day in first_row), np.int64, len(closes)
+    )
     order = np.argsort(day_numbers, kind="stable")
     return PriceSeries(
         instrument_id=instrument_id,

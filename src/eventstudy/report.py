@@ -10,8 +10,8 @@ one.  The write is atomic, and each run removes the other kind of report an
 earlier run left behind, so ``<output>`` and ``<output>.partial`` never both
 exist after a run.
 
-Report bytes are a pure function of inputs and configuration — timing and
-throughput live in the returned :class:`RunOutcome`, never in the report
+Report bytes are a pure function of inputs and configuration — the run's
+timing lives in the returned :class:`RunOutcome`, never in the report
 itself — so re-running a study is expected to reproduce the file bit for
 bit.  This module prints and logs nothing: the outcome is the one record
 of a run, and the CLI prints from it.
@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple
 
 from .bootstrap import GENERATOR, ScenarioDistribution
 from .config import RunConfig
-from .errors import DataFormatError, EventStudyError
+from .errors import ConfigError, DataFormatError, EventStudyError
 from .inference import DEFAULT_ESTIMATION_DAYS, EventResult, classify_impact, run_event_study
 from .ingest import EventRecord, PriceSeries, load_event_registry, load_price_series, read_csv_rows
 
@@ -140,15 +140,13 @@ class RunOutcome:
     ``rows`` are the report's rows, five per judged event; ``errors`` holds
     ``(event key, message)`` for each failed event, in registry order, and
     makes the report ``.partial``.  No rows and no errors means the registry
-    was empty.  ``elapsed_seconds`` and ``scenarios_per_second`` (``None``
-    when nothing was generated) are never written into the report.
+    was empty.  ``elapsed_seconds`` is never written into the report.
     """
 
     rows: list[ReportRow]
     errors: list[tuple[str, str]]
     report_path: Path
     elapsed_seconds: float
-    scenarios_per_second: float | None
 
 
 def _write_atomically(path: Path, content: str) -> None:
@@ -167,12 +165,20 @@ def _write_atomically(path: Path, content: str) -> None:
         raise
 
 
-def check_writable(path: Path) -> None:
-    """Raise :class:`OSError` unless a report could be written at ``path``; create nothing.
+def check_writable(path: Path, reads: Iterable[Path]) -> None:
+    """Raise unless an output could be written or removed at ``path``; create nothing.
 
-    The nearest existing ancestor of its directory must be a writable
-    directory: :func:`_write_atomically` makes the missing ones.
+    :class:`ConfigError` if ``path`` names one of the input files ``reads``
+    (compared after :meth:`Path.resolve`, so ``..`` and links count), since
+    writing or removing it would destroy that input.  :class:`OSError` if
+    ``path`` is a directory, or the nearest existing ancestor of its
+    directory is not a writable directory: :func:`_write_atomically` makes
+    the missing ones.
     """
+    resolved = path.resolve()
+    for read in reads:
+        if read.resolve() == resolved:
+            raise ConfigError(f"output {path} would destroy the input file {read}")
     if path.is_dir():
         raise IsADirectoryError(f"cannot write {path}: it is a directory")
     directory = path.parent
@@ -217,23 +223,26 @@ def _judge_events(
 def run(config: RunConfig) -> RunOutcome:
     """Execute a full study run and write its report.
 
-    Raises :class:`ConfigError` when referenced inputs are missing,
-    :class:`OSError` when the output cannot be written (checked before any
-    event is judged), and :class:`DataFormatError` when the market file
+    Raises :class:`ConfigError` when referenced inputs are missing or
+    writing ``<output>`` or ``<output>.partial`` would destroy one of them,
+    :class:`OSError` when the output cannot be written (both checked before
+    any event is judged), and :class:`DataFormatError` when the market file
     itself is unusable; a broken *event* (bad price file, thin history,
     degenerate fit) is recorded in the outcome instead and flips the report
     to ``.partial``.
     """
     started = time.perf_counter()
     config.check_inputs()
-    check_writable(config.output)
-
     events = load_event_registry(config.events_file)
-    market = load_price_series(config.market_file)
+    partial_path = Path(f"{config.output}.partial")
+    reads = {config.market_file, config.events_file}
+    reads.update(config.price_file(event.instrument_id) for event in events)
+    for path in (config.output, partial_path):
+        check_writable(path, reads)
 
+    market = load_price_series(config.market_file)
     rows, errors = _judge_events(config, events, market)
 
-    partial_path = Path(f"{config.output}.partial")
     report_path, stale_path = (
         (partial_path, config.output) if errors else (config.output, partial_path)
     )
@@ -241,15 +250,11 @@ def run(config: RunConfig) -> RunOutcome:
     _write_atomically(report_path, content)
     stale_path.unlink(missing_ok=True)
 
-    elapsed = time.perf_counter() - started
-    scenarios_done = len(rows) * config.settings.n_scenarios
-    throughput = scenarios_done / elapsed if elapsed > 0 and scenarios_done else None
     return RunOutcome(
         rows=rows,
         errors=errors,
         report_path=report_path,
-        elapsed_seconds=elapsed,
-        scenarios_per_second=throughput,
+        elapsed_seconds=time.perf_counter() - started,
     )
 
 

@@ -125,6 +125,16 @@ class TestLoadPriceSeries:
         with pytest.raises(DataFormatError, match=r"row 4: unparsable price 'n/a'"):
             load_price_series(_write_rows(tmp_path / "x.csv", rows))
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [(("2014-01-07", "n/a"), "unparsable price 'n/a'"),
+         (("2014-13-07", "102.0"), "unparsable date '2014-13-07'")],
+    )
+    def test_unparsable_field_before_an_earlier_duplicate_date(self, tmp_path, row, message):
+        rows = [("2014-01-06", "100.0"), ("2014-01-06", "101.0"), row]
+        with pytest.raises(DataFormatError, match=rf"row 4: {message}"):
+            load_price_series(_write_rows(tmp_path / "x.csv", rows))
+
     def test_first_bad_price_before_an_earlier_duplicate_date(self, tmp_path):
         rows = [
             ("2014-01-06", "100.0"),
